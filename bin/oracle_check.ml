@@ -2,7 +2,9 @@
 
    Usage: oracle_check [--quick] [--json FILE]
 
-   Prints the one-line-per-check summary table to stdout, optionally
+   Runs the battery, then the bitwise split-LU parity verdict
+   ([Battery.clu_parity]) on the buffer's TFT pencils. Prints the
+   one-line-per-check summary table to stdout, optionally
    writes the schema-versioned JSON verdict, and exits 1 if any check
    failed (tolerance exceeded, NaN metric, or an escaped exception) —
    so both CI aliases and humans can gate on the battery. *)
@@ -24,7 +26,9 @@ let () =
         exit 2
   in
   parse_args (List.tl (Array.to_list Sys.argv));
-  let verdicts = Oracle.Battery.run ~quick:!quick () in
+  let verdicts =
+    Oracle.Battery.run ~quick:!quick () @ [ Oracle.Battery.clu_parity () ]
+  in
   print_string (Oracle.Battery.summary verdicts);
   (match !json_path with
   | Some path ->

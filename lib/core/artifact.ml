@@ -88,17 +88,12 @@ let mat_of_json j =
   Linalg.Mat.init rows cols (fun r c -> data.((r * cols) + c))
 
 let json_of_cmat (m : Linalg.Cmat.t) =
-  let rows = Linalg.Cmat.rows m and cols = Linalg.Cmat.cols m in
-  let re = Array.init (rows * cols) (fun k ->
-      (Linalg.Cmat.get m (k / cols) (k mod cols)).Complex.re) in
-  let im = Array.init (rows * cols) (fun k ->
-      (Linalg.Cmat.get m (k / cols) (k mod cols)).Complex.im) in
   Minijson.Obj
     [
-      ("rows", Minijson.Num (float_of_int rows));
-      ("cols", Minijson.Num (float_of_int cols));
-      ("re", json_of_floats re);
-      ("im", json_of_floats im);
+      ("rows", Minijson.Num (float_of_int (Linalg.Cmat.rows m)));
+      ("cols", Minijson.Num (float_of_int (Linalg.Cmat.cols m)));
+      ("re", json_of_floats (Linalg.Cmat.unsafe_re m));
+      ("im", json_of_floats (Linalg.Cmat.unsafe_im m));
     ]
 
 let cmat_of_json j =
@@ -106,9 +101,10 @@ let cmat_of_json j =
   let re = farr j "re" and im = farr j "im" in
   if Array.length re <> rows * cols || Array.length im <> rows * cols then
     invalid "complex matrix";
-  Linalg.Cmat.init rows cols (fun r c ->
-      let k = (r * cols) + c in
-      { Complex.re = re.(k); im = im.(k) })
+  let m = Linalg.Cmat.create rows cols in
+  Array.blit re 0 (Linalg.Cmat.unsafe_re m) 0 (rows * cols);
+  Array.blit im 0 (Linalg.Cmat.unsafe_im m) 0 (rows * cols);
+  m
 
 let json_of_complexes (a : Complex.t array) =
   Minijson.Obj

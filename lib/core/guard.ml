@@ -74,6 +74,21 @@ let check_vec guard ~site v =
       if g.check_finite && not (finite_array v) then
         fail ~site "non-finite entries in solver output"
 
+(* the split re/im form of [finite_complex_array], without boxing *)
+let finite_split ~re ~im =
+  let ok = ref true in
+  for i = 0 to Array.length re - 1 do
+    if not (Float.is_finite re.(i) && Float.is_finite im.(i)) then ok := false
+  done;
+  !ok
+
+let check_split_vec guard ~site ~re ~im =
+  match guard with
+  | None -> ()
+  | Some g ->
+      if g.check_finite && not (finite_split ~re ~im) then
+        fail ~site "non-finite entries in solver output"
+
 let check_complex_vec guard ~site v =
   match guard with
   | None -> ()

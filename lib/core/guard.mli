@@ -56,3 +56,12 @@ val check_vec : t option -> site:string -> float array -> unit
     the array contains a NaN or infinity; no-op otherwise. *)
 
 val check_complex_vec : t option -> site:string -> Complex.t array -> unit
+
+val finite_split : re:float array -> im:float array -> bool
+(** Every [re.(i) + i·im.(i)] is finite; [im] must be at least as long
+    as [re]. *)
+
+val check_split_vec :
+  t option -> site:string -> re:float array -> im:float array -> unit
+(** {!check_complex_vec} for a split re/im vector: the same
+    {!Violation} at [site], and no allocation on the clean path. *)

@@ -1,16 +1,15 @@
 (* Workspace for repeated pencil solves sharing one (B, D) pair: the
-   pencil buffer, the LU workspace and the column scratch are allocated
-   once and fully overwritten per frequency, so a whole K×L TFT sweep
-   allocates only its small n_outputs × n_inputs results. *)
+   pencil buffer, the LU workspace and the split solution scratch are
+   allocated once and fully overwritten per frequency, so a whole K×L
+   TFT sweep allocates only its small n_outputs × n_inputs results. *)
 type ws = {
   b : Linalg.Mat.t;
   d : Linalg.Mat.t;
   pencil : Linalg.Cmat.t;  (** G + s·C, rebuilt in place per frequency *)
   lu : Linalg.Clu.t;
-  rhs : Linalg.Cmat.t;  (** complex copy of B, fixed *)
-  bcol : Linalg.Cmat.vec;
-  xcol : Linalg.Cmat.vec;
-  x : Linalg.Cmat.t;  (** (G + s·C)⁻¹ B solution buffer *)
+  bcols : float array array;  (** the real columns of B, fixed *)
+  xre : float array;  (** one (G + s·C)⁻¹ B column, split re/im *)
+  xim : float array;
 }
 
 let make_ws ~b ~d =
@@ -21,25 +20,13 @@ let make_ws ~b ~d =
     d;
     pencil = Linalg.Cmat.create n n;
     lu = Linalg.Clu.workspace n;
-    rhs = Linalg.Cmat.of_real b;
-    bcol = Array.make n Linalg.Cx.zero;
-    xcol = Array.make n Linalg.Cx.zero;
-    x = Linalg.Cmat.create n mi;
+    bcols = Array.init mi (fun j -> Linalg.Mat.col b j);
+    xre = Array.make n 0.0;
+    xim = Array.make n 0.0;
   }
 
-(* H = Dᵀ X, allocating only the small output matrix *)
-let output_transfer ~d ~x =
-  let mo = Linalg.Mat.cols d and mi = Linalg.Cmat.cols x in
-  let n = Linalg.Mat.rows d in
-  Linalg.Cmat.init mo mi (fun o i ->
-      let acc = ref Linalg.Cx.zero in
-      for k = 0 to n - 1 do
-        let dk = Linalg.Mat.get d k o in
-        let xki = Linalg.Cmat.get x k i in
-        if dk <> 0.0 then acc := Linalg.Cx.(!acc +: scale dk xki)
-      done;
-      !acc)
-
+(* each real B column is solved straight into the split scratch and
+   projected through Dᵀ into column j of H, the only allocation *)
 let transfer_ws ?guard ?obs ws ~g ~c ~s =
   Linalg.Cmat.lincomb_into ws.pencil Linalg.Cx.one g s c;
   Linalg.Clu.factor_into ?guard ws.lu ws.pencil;
@@ -48,15 +35,17 @@ let transfer_ws ?guard ?obs ws ~g ~c ~s =
   | Some _ ->
       Obs.rcond obs ~site:"ac.pencil" (Linalg.Clu.rcond_estimate ws.lu));
   let inject = Fault.should_fire "ac.pencil_nan" in
-  for j = 0 to Linalg.Cmat.cols ws.rhs - 1 do
-    Linalg.Cmat.get_col ws.rhs j ws.bcol;
-    Linalg.Clu.solve_into ws.lu ws.bcol ws.xcol;
-    if inject && j = 0 then
-      ws.xcol.(0) <- { Complex.re = Float.nan; im = Float.nan };
-    Guard.check_complex_vec guard ~site:"ac.transfer" ws.xcol;
-    Linalg.Cmat.set_col ws.x j ws.xcol
+  let h = Linalg.Cmat.create (Linalg.Mat.cols ws.d) (Array.length ws.bcols) in
+  for j = 0 to Array.length ws.bcols - 1 do
+    Linalg.Clu.solve_real_into ws.lu ws.bcols.(j) ~re:ws.xre ~im:ws.xim;
+    if inject && j = 0 then begin
+      ws.xre.(0) <- Float.nan;
+      ws.xim.(0) <- Float.nan
+    end;
+    Guard.check_split_vec guard ~site:"ac.transfer" ~re:ws.xre ~im:ws.xim;
+    Linalg.Cmat.set_col_mul_t h j ws.d ~re:ws.xre ~im:ws.xim
   done;
-  output_transfer ~d:ws.d ~x:ws.x
+  h
 
 let ws_matches ws ~b ~d =
   let same a b' =

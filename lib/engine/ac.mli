@@ -6,10 +6,13 @@
     extracted models.
 
     The sweep entry points share a {!ws} workspace holding the pencil
-    buffer, the LU workspace and the solve scratch, so evaluating a
-    whole trajectory (K snapshots × L frequencies) allocates nothing
-    beyond the small per-point transfer matrices. One workspace must
-    only be used by one domain at a time. *)
+    buffer, the LU workspace, the real columns of [B] and a split re/im
+    solution column. Each [B] column is solved with
+    {!Linalg.Clu.solve_real_into} and projected through [Dᵀ] on the
+    split arrays, so evaluating a whole trajectory (K snapshots × L
+    frequencies) allocates nothing beyond the small per-point transfer
+    matrices. One workspace must only be used by one domain at a
+    time. *)
 
 type ws
 (** Preallocated solve buffers bound to one (B, D) input/output pair. *)
@@ -34,7 +37,8 @@ val transfer_ws :
   Linalg.Cmat.t
 (** Pencil solve at one complex frequency, reusing the workspace.
     Returns the freshly allocated [n_outputs × n_inputs] transfer
-    matrix. Without a [guard], bit-identical to {!transfer_at} on the
+    matrix, which is the only allocation on the unguarded, unobserved
+    path. Without a [guard], bit-identical to {!transfer_at} on the
     same operands; with one, the factorization gets a
     reciprocal-condition floor and every solution column a NaN/Inf
     sentinel ([Guard.Violation] at site ["ac.transfer"]). With [obs],

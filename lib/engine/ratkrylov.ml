@@ -71,21 +71,6 @@ let ws_matches ws ~pat ~b ~d =
   in
   ws.pat == pat && same ws.b b && same ws.d d
 
-(* H column j from a full-space complex solution held as re/im parts *)
-let output_col_into h ~d ~xre ~xim j =
-  let p = Linalg.Mat.cols d and n = Linalg.Mat.rows d in
-  for o = 0 to p - 1 do
-    let are = ref 0.0 and aim = ref 0.0 in
-    for i = 0 to n - 1 do
-      let dk = Linalg.Mat.get d i o in
-      if dk <> 0.0 then begin
-        are := !are +. (dk *. xre.(i));
-        aim := !aim +. (dk *. xim.(i))
-      end
-    done;
-    Linalg.Cmat.set h o j (Linalg.Cx.make !are !aim)
-  done
-
 let sweep ?(opts = default_opts) ?guard ?cancel ?metrics ?obs ws ~g ~c ~ss =
   if not (g.Linalg.Sp.pat == ws.pat && c.Linalg.Sp.pat == ws.pat) then
     invalid_arg "Ratkrylov.sweep: G/C must carry the workspace pattern";
@@ -115,7 +100,7 @@ let sweep ?(opts = default_opts) ?guard ?cancel ?metrics ?obs ws ~g ~c ~ss =
         xre_full.(i) <- ws.xcol.(i).Complex.re;
         xim_full.(i) <- ws.xcol.(i).Complex.im
       done;
-      output_col_into h ~d:ws.d ~xre:xre_full ~xim:xim_full j
+      Linalg.Cmat.set_col_mul_t h j ws.d ~re:xre_full ~im:xim_full
     done;
     h
   in
@@ -208,10 +193,10 @@ let sweep ?(opts = default_opts) ?guard ?cancel ?metrics ?obs ws ~g ~c ~ss =
         done;
         bnorm.(j) <- Float.max (sqrt !s2) 1e-300
       done;
+      let bdata = Linalg.Mat.unsafe_data ws.b in
       let small = Linalg.Cmat.create k k in
       let clu = Linalg.Clu.workspace k in
-      let brc = Array.make k Linalg.Cx.zero in
-      let xr = Array.make k Linalg.Cx.zero in
+      let xrre = Array.make k 0.0 and xrim = Array.make k 0.0 in
       let hs = Array.make l (Linalg.Cmat.create 0 0) in
       let res = Array.make l Float.infinity in
       for pt = 0 to l - 1 do
@@ -225,16 +210,13 @@ let sweep ?(opts = default_opts) ?guard ?cancel ?metrics ?obs ws ~g ~c ~ss =
             let h = Linalg.Cmat.create p m in
             let worst = ref 0.0 in
             for j = 0 to m - 1 do
-              for t = 0 to k - 1 do
-                brc.(t) <- Linalg.Cx.re br.(j).(t)
-              done;
-              Linalg.Clu.solve_into clu brc xr;
+              Linalg.Clu.solve_real_into clu br.(j) ~re:xrre ~im:xrim;
               (* expand x = V·x_r *)
               Array.fill xre_full 0 n 0.0;
               Array.fill xim_full 0 n 0.0;
               for t = 0 to k - 1 do
-                Linalg.Vec.axpy xr.(t).Complex.re vs.(t) xre_full;
-                Linalg.Vec.axpy xr.(t).Complex.im vs.(t) xim_full
+                Linalg.Vec.axpy xrre.(t) vs.(t) xre_full;
+                Linalg.Vec.axpy xrim.(t) vs.(t) xim_full
               done;
               (* true residual (G + s·C)x − b via sparse matvecs *)
               Linalg.Sp.mulv_into g xre_full gx;
@@ -246,12 +228,12 @@ let sweep ?(opts = default_opts) ?guard ?cancel ?metrics ?obs ws ~g ~c ~ss =
               for i = 0 to n - 1 do
                 let rre =
                   gx.(i) +. (sr *. cx.(i)) -. (si *. cy.(i))
-                  -. Linalg.Mat.get ws.b i j
+                  -. bdata.((i * m) + j)
                 and rim = gy.(i) +. (sr *. cy.(i)) +. (si *. cx.(i)) in
                 r2 := !r2 +. (rre *. rre) +. (rim *. rim)
               done;
               worst := Float.max !worst (sqrt !r2 /. bnorm.(j));
-              output_col_into h ~d:ws.d ~xre:xre_full ~xim:xim_full j
+              Linalg.Cmat.set_col_mul_t h j ws.d ~re:xre_full ~im:xim_full
             done;
             hs.(pt) <- h;
             (* NaN compares false against any threshold — pin it to ∞ so

@@ -434,6 +434,99 @@ let check_large_ladder ~quick () =
     m "krylov_worst_residual" stats.Engine.Ratkrylov.worst_residual 1e-10;
   ]
 
+(* ---------------- split dense LU vs the boxed reference ---------------- *)
+
+(* every TFT pencil of the paper's buffer extraction — the Section-IV
+   training run's 101 snapshots × the 40-point grid plus DC — through
+   the split kernels and through Clu_ref: the pencil, the permutation,
+   every LU entry and Ac.transfer_ws's transfer matrix must agree bit
+   for bit. Bounds are exact zeros. *)
+let clu_parity () =
+  checked "clu-split-parity" @@ fun () ->
+  let config = Tft_rvf.Pipeline.buffer_config () in
+  let tr = config.Tft_rvf.Pipeline.training in
+  let mna = Circuits.Buffer.mna ~input_wave:tr.Tft_rvf.Pipeline.wave () in
+  let opts =
+    {
+      Engine.Tran.default_opts with
+      Engine.Tran.snapshot_every = tr.Tft_rvf.Pipeline.snapshot_every;
+    }
+  in
+  let run =
+    Engine.Tran.run ~opts mna ~t_stop:tr.Tft_rvf.Pipeline.t_stop
+      ~dt:tr.Tft_rvf.Pipeline.dt
+  in
+  let ss =
+    Array.append
+      (Array.map Signal.Grid.s_of_hz config.Tft_rvf.Pipeline.freqs_hz)
+      [| Complex.zero |]
+  in
+  let b = Engine.Mna.b_matrix mna and d = Engine.Mna.d_matrix mna in
+  let n = Linalg.Mat.rows b in
+  let ws = Engine.Ac.make_ws ~b ~d in
+  let pencil = Linalg.Cmat.create n n in
+  let clu = Linalg.Clu.workspace n and rf = Clu_ref.workspace n in
+  let bits_differ a b =
+    not (Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
+  in
+  let differ (a : Complex.t) (b : Complex.t) =
+    bits_differ a.Complex.re b.Complex.re || bits_differ a.Complex.im b.Complex.im
+  in
+  let cmat_mismatches a b =
+    let k = ref 0 in
+    for i = 0 to Linalg.Cmat.rows a - 1 do
+      for j = 0 to Linalg.Cmat.cols a - 1 do
+        if differ (Linalg.Cmat.get a i j) (Linalg.Cmat.get b i j) then incr k
+      done
+    done;
+    !k
+  in
+  let outcome f =
+    match f () with
+    | () -> None
+    | exception Linalg.Clu.Singular { pivot_index; magnitude } ->
+        Some (pivot_index, Int64.bits_of_float magnitude)
+  in
+  let pencils = ref 0 and singular = ref 0 in
+  let pencil_mm = ref 0 and lu_mm = ref 0 and h_mm = ref 0 in
+  Array.iter
+    (fun (snap : Engine.Tran.snapshot) ->
+      let g = snap.Engine.Tran.g_mat and c = snap.Engine.Tran.c_mat in
+      Array.iter
+        (fun s ->
+          incr pencils;
+          Linalg.Cmat.lincomb_into pencil Complex.one g s c;
+          let boxed = Clu_ref.pencil ~g ~c ~s in
+          pencil_mm := !pencil_mm + cmat_mismatches pencil boxed;
+          let got = outcome (fun () -> Linalg.Clu.factor_into clu pencil) in
+          let want = outcome (fun () -> Clu_ref.factor_into rf boxed) in
+          if got <> want then incr lu_mm
+          else if got <> None then incr singular
+          else begin
+            if Linalg.Clu.perm clu <> Clu_ref.perm rf then incr lu_mm;
+            let lu = Linalg.Clu.lu clu and rlu = Clu_ref.lu rf in
+            for i = 0 to n - 1 do
+              for j = 0 to n - 1 do
+                if differ (Linalg.Cmat.get lu i j) rlu.((i * n) + j) then
+                  incr lu_mm
+              done
+            done;
+            h_mm :=
+              !h_mm
+              + cmat_mismatches
+                  (Engine.Ac.transfer_ws ws ~g ~c ~s)
+                  (Clu_ref.project rf ~b ~d)
+          end)
+        ss)
+    run.Engine.Tran.snapshots;
+  [
+    m "pencils_short" (Float.abs (float_of_int ((101 * 41) - !pencils))) 0.0;
+    m "singular_pencils" (float_of_int !singular) 0.0;
+    m "pencil_bit_mismatches" (float_of_int !pencil_mm) 0.0;
+    m "lu_bit_mismatches" (float_of_int !lu_mm) 0.0;
+    m "transfer_bit_mismatches" (float_of_int !h_mm) 0.0;
+  ]
+
 (* ---------------- the battery ---------------- *)
 
 let run ?(quick = false) () =

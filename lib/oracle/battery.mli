@@ -56,6 +56,16 @@ val run : ?quick:bool -> unit -> verdict list
     bounds are identical in both modes). Checks never raise: a thrown
     exception lands in [error]. *)
 
+val clu_parity : unit -> verdict
+(** ["clu-split-parity"]: on every TFT pencil of the buffer extraction
+    (101 snapshots × 40 grid points + DC) the pencil build, the
+    permutation, every LU entry of the split-storage {!Linalg.Clu} and
+    the transfer matrix of {!Engine.Ac.transfer_ws} equal the boxed
+    reference {!Clu_ref} bit for bit. Kept out of {!run} because it
+    takes about a second (a training transient plus 4141 reference
+    factorizations); [oracle_check] runs it after the battery, so
+    [@oracle-smoke] gates on it. *)
+
 val json : quick:bool -> verdict list -> string
 (** Schema-versioned verdict document:
     [{"schema_version": 1, "kind": "oracle", "quick": bool,

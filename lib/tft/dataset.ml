@@ -15,15 +15,7 @@ type t = {
 }
 
 let finite_cmat m =
-  let ok = ref true in
-  for r = 0 to Linalg.Cmat.rows m - 1 do
-    for c = 0 to Linalg.Cmat.cols m - 1 do
-      let z = Linalg.Cmat.get m r c in
-      if not (Float.is_finite z.Complex.re && Float.is_finite z.Complex.im)
-      then ok := false
-    done
-  done;
-  !ok
+  Guard.finite_split ~re:(Linalg.Cmat.unsafe_re m) ~im:(Linalg.Cmat.unsafe_im m)
 
 let sample_finite s =
   Guard.finite_array s.x && Guard.finite_array s.u && Guard.finite_array s.y
@@ -32,12 +24,14 @@ let sample_finite s =
 
 (* elementwise (1-w)·a + w·b, the neighbor-interpolation repair *)
 let lerp_cmat a b w =
-  Linalg.Cmat.init (Linalg.Cmat.rows a) (Linalg.Cmat.cols a) (fun r c ->
-      let za = Linalg.Cmat.get a r c and zb = Linalg.Cmat.get b r c in
-      {
-        Complex.re = ((1.0 -. w) *. za.Complex.re) +. (w *. zb.Complex.re);
-        im = ((1.0 -. w) *. za.Complex.im) +. (w *. zb.Complex.im);
-      })
+  let h = Linalg.Cmat.create (Linalg.Cmat.rows a) (Linalg.Cmat.cols a) in
+  let lerp part =
+    let dst = part h and zb = part b in
+    Array.iteri (fun k za -> dst.(k) <- ((1.0 -. w) *. za) +. (w *. zb.(k))) (part a)
+  in
+  lerp Linalg.Cmat.unsafe_re;
+  lerp Linalg.Cmat.unsafe_im;
+  h
 
 (* Snapshot quarantine: flag samples with non-finite transfer data and
    either rebuild their H matrices from the nearest healthy neighbors
@@ -251,9 +245,14 @@ let dynamic_part t =
         let h =
           Array.map
             (fun hm ->
-              Linalg.Cmat.init (Linalg.Cmat.rows hm) (Linalg.Cmat.cols hm)
-                (fun r c ->
-                  Complex.sub (Linalg.Cmat.get hm r c) (Linalg.Cmat.get s.h0 r c)))
+              let dyn = Linalg.Cmat.copy hm in
+              let sub part =
+                let dst = part dyn in
+                Array.iteri (fun k z0 -> dst.(k) <- dst.(k) -. z0) (part s.h0)
+              in
+              sub Linalg.Cmat.unsafe_re;
+              sub Linalg.Cmat.unsafe_im;
+              dyn)
             s.h
         in
         { s with h })

@@ -85,6 +85,41 @@ let test_guard_violation_printable () =
         && String.index_opt text '.' <> None)
   | _ -> Alcotest.fail "fail returned"
 
+(* the split-array sentinel behind the allocation-free TFT solve: same
+   no-op/raise contract as check_complex_vec, and the ac.transfer site
+   still trips on an injected NaN solution *)
+let test_split_sentinel () =
+  let re = [| 1.0; 2.0 |] and im = [| 0.0; -3.0 |] in
+  let g = Some Guard.default in
+  Guard.check_split_vec g ~site:"t" ~re ~im;
+  im.(1) <- Float.infinity;
+  Guard.check_split_vec None ~site:"t" ~re ~im;
+  Guard.check_split_vec
+    (Some { Guard.default with Guard.check_finite = false })
+    ~site:"t" ~re ~im;
+  (match Guard.check_split_vec g ~site:"t" ~re ~im with
+  | exception Guard.Violation { site; _ } ->
+      Alcotest.(check string) "site" "t" site
+  | () -> Alcotest.fail "non-finite split vector accepted");
+  let n = 4 in
+  let g_mat = Linalg.Mat.init n n (fun i j -> if i = j then 2.0 else 0.1) in
+  let c_mat = Linalg.Mat.init n n (fun i j -> if i = j then 1e-3 else 0.0) in
+  let b = Linalg.Mat.init n 1 (fun i _ -> if i = 0 then 1.0 else 0.0) in
+  let d = Linalg.Mat.init n 1 (fun i _ -> if i = 0 then 1.0 else 0.0) in
+  let ws = Engine.Ac.make_ws ~b ~d in
+  let s = { Complex.re = 0.0; im = 10.0 } in
+  let armed f =
+    Fault.arm_exact ~site:"ac.pencil_nan" ~fire_at:1 ~burst:1 ();
+    Fun.protect ~finally:(fun () -> ignore (Fault.disarm ())) f
+  in
+  (match armed (fun () -> Engine.Ac.transfer_ws ~guard:Guard.default ws ~g:g_mat ~c:c_mat ~s) with
+  | exception Guard.Violation { site; _ } ->
+      Alcotest.(check string) "transfer site" "ac.transfer" site
+  | _ -> Alcotest.fail "guarded transfer accepted a NaN solution");
+  let h = armed (fun () -> Engine.Ac.transfer_ws ws ~g:g_mat ~c:c_mat ~s) in
+  Alcotest.(check bool) "unguarded NaN propagates" true
+    (Float.is_nan (Linalg.Cmat.get h 0 0).Complex.re)
+
 (* ---------------- the fault harness itself ---------------- *)
 
 let test_fault_schedule () =
@@ -459,6 +494,7 @@ let suite =
     Alcotest.test_case "lu rcond floor" `Quick test_lu_rcond_estimate_and_guard;
     Alcotest.test_case "clu singular + rcond" `Quick test_clu_singular_and_rcond;
     Alcotest.test_case "violation printable" `Quick test_guard_violation_printable;
+    Alcotest.test_case "split sentinel" `Quick test_split_sentinel;
     Alcotest.test_case "fault schedule" `Quick test_fault_schedule;
     Alcotest.test_case "fault determinism" `Quick test_fault_determinism;
     Alcotest.test_case "dc gmin recovery" `Quick test_dc_gmin_recovery;

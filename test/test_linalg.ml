@@ -566,10 +566,212 @@ let test_cx_ops () =
   Alcotest.(check bool) "inv" true
     (Linalg.Cx.approx_equal Linalg.Cx.(inv (inv z)) z)
 
+(* ---------------- split Clu vs the boxed reference ---------------- *)
+
+module Ref = Oracle.Clu_ref
+
+let cx re im = { Complex.re; im }
+
+let cbits_eq (a : Complex.t) (b : Complex.t) =
+  bits_eq a.Complex.re b.Complex.re && bits_eq a.Complex.im b.Complex.im
+
+let cvec_bits_eq a b =
+  Array.length a = Array.length b && Array.for_all2 cbits_eq a b
+
+(* outcome of a factorization: the Singular payload with its magnitude
+   as raw bits, or success *)
+let factor_outcome f =
+  match f () with
+  | () -> None
+  | exception Linalg.Clu.Singular { pivot_index; magnitude } ->
+      Some (pivot_index, Int64.bits_of_float magnitude)
+
+(* split factors and solutions equal the boxed reference bit for bit:
+   perm, every LU entry, a complex and a real right-hand side *)
+let same_as_reference ?guard st a =
+  let n = Linalg.Cmat.rows a in
+  let ws = Linalg.Clu.workspace n and rf = Ref.workspace n in
+  let got = factor_outcome (fun () -> Linalg.Clu.factor_into ?guard ws a) in
+  let want = factor_outcome (fun () -> Ref.factor_into ?guard rf a) in
+  got = want
+  && (got <> None
+     ||
+     let lu = Linalg.Clu.lu ws in
+     let lu_ok = ref true in
+     for i = 0 to n - 1 do
+       for j = 0 to n - 1 do
+         if not (cbits_eq (Linalg.Cmat.get lu i j) (Ref.lu rf).((i * n) + j))
+         then lu_ok := false
+       done
+     done;
+     let b =
+       Array.init n (fun _ ->
+           cx (Random.State.float st 2.0 -. 1.0) (Random.State.float st 2.0 -. 1.0))
+     in
+     let breal = Array.init n (fun _ -> Random.State.float st 2.0 -. 1.0) in
+     let x = Array.make n Complex.zero in
+     Linalg.Clu.solve_into ws b x;
+     let re = Array.make n 0.0 and im = Array.make n 0.0 in
+     Linalg.Clu.solve_real_into ws breal ~re ~im;
+     let xr = Array.init n (fun i -> cx re.(i) im.(i)) in
+     Linalg.Clu.perm ws = Ref.perm rf
+     && !lu_ok
+     && cvec_bits_eq x (Ref.solve rf b)
+     && cvec_bits_eq xr (Ref.solve rf (Array.map (fun v -> cx v 0.0) breal)))
+
+(* matrix families that exercise every branch of the elimination:
+   general entries, pencils, equal-magnitude ties (|z| = 1 or 2 from
+   axis-aligned values, so pivot search must keep the first), a zero
+   column, and a non-finite entry landing on a pivot *)
+let random_family st n family =
+  let unit_like () =
+    match Random.State.int st 6 with
+    | 0 -> cx 1.0 0.0
+    | 1 -> cx (-1.0) 0.0
+    | 2 -> cx 0.0 1.0
+    | 3 -> cx 0.0 (-1.0)
+    | 4 -> cx 2.0 0.0
+    | _ -> cx 0.0 0.0
+  in
+  let general () =
+    cx (Random.State.float st 2.0 -. 1.0) (Random.State.float st 2.0 -. 1.0)
+  in
+  match family with
+  | 0 -> Linalg.Cmat.init n n (fun _ _ -> general ())
+  | 1 -> random_cpencil st n
+  | 2 -> Linalg.Cmat.init n n (fun _ _ -> unit_like ())
+  | 3 ->
+      let zc = Random.State.int st n in
+      Linalg.Cmat.init n n (fun _ j -> if j = zc then Complex.zero else general ())
+  | _ ->
+      let bad = [| Float.nan; Float.infinity; Float.neg_infinity |] in
+      let v = bad.(Random.State.int st 3) in
+      let bi = Random.State.int st n and bj = Random.State.int st n in
+      Linalg.Cmat.init n n (fun i j ->
+          if i = bi && j = bj then
+            if Random.State.bool st then cx v 0.0 else cx 0.0 v
+          else general ())
+
+let prop_clu_matches_reference =
+  QCheck.Test.make ~count:200 ~name:"split clu = boxed reference, bit for bit"
+    QCheck.(triple (int_range 1 10) (int_bound 4) (int_bound 100000))
+    (fun (n, family, seed) ->
+      let st = rand_state (seed + 131) in
+      same_as_reference st (random_family st n family))
+
+let test_clu_reference_pivot_cases () =
+  let st = rand_state 7 in
+  let outcome f = factor_outcome (fun () -> ignore (f ())) in
+  let check_same name a =
+    let got = outcome (fun () -> Linalg.Clu.factor a) in
+    let want = outcome (fun () -> Ref.factor a) in
+    Alcotest.(check bool) (name ^ " raises") true (got <> None);
+    Alcotest.(check (option (pair int int64))) name want got
+  in
+  check_same "zero column"
+    (Linalg.Cmat.init 4 4 (fun i j -> if j = 2 then Complex.zero else cx (float_of_int (i + 1)) (float_of_int (j - i))));
+  check_same "nan pivot"
+    (Linalg.Cmat.init 3 3 (fun i j -> if i = 0 && j = 0 then cx Float.nan 1.0 else cx 0.5 0.0));
+  check_same "inf pivot"
+    (Linalg.Cmat.init 3 3 (fun i j -> if i = j then cx 1.0 Float.infinity else cx 0.25 0.0));
+  check_same "denormal pivot"
+    (Linalg.Cmat.init 2 2 (fun i j -> if i = j then cx 1e-310 0.0 else Complex.zero));
+  (* equal-magnitude ties: the whole first column has modulus 1, so the
+     first pivot search must keep row 0 *)
+  let tied =
+    Linalg.Cmat.init 5 5 (fun i j ->
+        if j > 0 then
+          cx (Random.State.float st 2.0 -. 1.0) (Random.State.float st 2.0 -. 1.0)
+        else
+          match i mod 4 with
+          | 0 -> cx 1.0 0.0
+          | 1 -> cx 0.0 1.0
+          | 2 -> cx (-1.0) 0.0
+          | _ -> cx 0.0 (-1.0))
+  in
+  let f = Linalg.Clu.factor tied in
+  Alcotest.(check int) "first of the tied rows kept" 0 (Linalg.Clu.perm f).(0);
+  Alcotest.(check bool) "pivot ties" true (same_as_reference st tied)
+
+let test_clu_reference_fault_probe () =
+  let a = random_cpencil (rand_state 3) 5 in
+  let armed f =
+    Fault.arm_exact ~site:"clu.pivot_zero" ~fire_at:1 ~burst:1 ();
+    Fun.protect ~finally:(fun () -> ignore (Fault.disarm ())) (fun () ->
+        factor_outcome (fun () -> ignore (f ())))
+  in
+  let got = armed (fun () -> Linalg.Clu.factor a) in
+  let want = armed (fun () -> Ref.factor a) in
+  Alcotest.(check (option (pair int int64)))
+    "probe fires at pivot 0 with magnitude 0" (Some (0, 0L)) got;
+  Alcotest.(check (option (pair int int64))) "same as reference" want got
+
+let test_clu_reference_guard_floor () =
+  let st = rand_state 11 in
+  let guard = { Guard.default with Guard.rcond_min = 1e-6 } in
+  let ill =
+    Linalg.Cmat.init 4 4 (fun i j ->
+        if i <> j then cx 1e-12 0.0
+        else if i = 2 then cx 0.0 1e-9
+        else cx (float_of_int (i + 1)) 0.5)
+  in
+  let got = factor_outcome (fun () -> ignore (Linalg.Clu.factor ~guard ill)) in
+  Alcotest.(check bool) "guard floor trips" true (got <> None);
+  Alcotest.(check bool) "same Singular as reference" true
+    (same_as_reference ~guard st ill);
+  Alcotest.(check bool) "passes without guard" true (same_as_reference st ill)
+
+(* minor words allocated by [f], net of the measurement itself; read
+   with Gc.minor_words, which counts the live minor heap (quick_stat's
+   minor_words does not in OCaml 5.1) *)
+let minor_words_of f =
+  let measure g =
+    let w0 = Gc.minor_words () in
+    g ();
+    Gc.minor_words () -. w0
+  in
+  measure f -. measure (fun () -> ())
+
+let test_clu_split_allocation_free () =
+  let st = rand_state 5 in
+  let n = 36 in
+  let a = random_cpencil st n in
+  let ws = Linalg.Clu.workspace n in
+  let b = Array.init n (fun _ -> Random.State.float st 2.0 -. 1.0) in
+  let re = Array.make n 0.0 and im = Array.make n 0.0 in
+  let solve () =
+    Linalg.Clu.factor_into ws a;
+    Linalg.Clu.solve_real_into ws b ~re ~im
+  in
+  solve ();
+  Alcotest.(check (float 0.0)) "factor_into + solve_real_into words" 0.0
+    (minor_words_of solve)
+
+let test_transfer_ws_allocates_only_output () =
+  let st = rand_state 9 in
+  let n = 12 and mi = 2 and mo = 3 in
+  let g = random_dd_matrix st n and c = Linalg.Mat.random st n n in
+  let b = Linalg.Mat.random st n mi and d = Linalg.Mat.random st n mo in
+  let ws = Engine.Ac.make_ws ~b ~d in
+  let s = cx 0.0 7.5 in
+  let h = Engine.Ac.transfer_ws ws ~g ~c ~s in
+  let expected = Oracle.Clu_ref.transfer ~g ~c ~b ~d ~s in
+  let same = ref true in
+  for o = 0 to mo - 1 do
+    for j = 0 to mi - 1 do
+      if not (cbits_eq (Linalg.Cmat.get h o j) (Linalg.Cmat.get expected o j))
+      then same := false
+    done
+  done;
+  Alcotest.(check bool) "bitwise equal to the boxed reference" true !same;
+  Alcotest.(check (float 0.0)) "only the mo x mi output is allocated"
+    (minor_words_of (fun () -> ignore (Linalg.Cmat.create mo mi)))
+    (minor_words_of (fun () -> ignore (Engine.Ac.transfer_ws ws ~g ~c ~s)))
+
 let qsuite = [ prop_lu_residual; prop_qr_residual_orthogonal; prop_eig_trace;
                prop_eig_det; prop_poly_roots_reconstruct; prop_clu_residual;
                prop_lu_factor_into_agrees; prop_clu_factor_into_agrees;
-               prop_lincomb_into_agrees ]
+               prop_lincomb_into_agrees; prop_clu_matches_reference ]
 
 let suite =
   [
@@ -598,6 +800,16 @@ let suite =
     Alcotest.test_case "clu pencil solve" `Quick test_clu_solve;
     Alcotest.test_case "cmat identity" `Quick test_cmat_mul_identity;
     Alcotest.test_case "cx ops" `Quick test_cx_ops;
+    Alcotest.test_case "clu reference pivot cases" `Quick
+      test_clu_reference_pivot_cases;
+    Alcotest.test_case "clu reference fault probe" `Quick
+      test_clu_reference_fault_probe;
+    Alcotest.test_case "clu reference guard floor" `Quick
+      test_clu_reference_guard_floor;
+    Alcotest.test_case "clu split solve allocation-free" `Quick
+      test_clu_split_allocation_free;
+    Alcotest.test_case "transfer_ws allocates only output" `Quick
+      test_transfer_ws_allocates_only_output;
     Alcotest.test_case "solve_into rejects aliasing" `Quick
       test_solve_into_rejects_aliasing;
     Alcotest.test_case "workspace size mismatch" `Quick test_workspace_size_mismatch;

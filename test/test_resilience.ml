@@ -264,6 +264,30 @@ let rungs =
     "combined";
   ]
 
+(* --- artifact encoding -------------------------------------------------- *)
+
+(* Checkpoint bytes for a complex matrix, recorded when Cmat still stored
+   boxed Complex.t values: the split re/im storage must encode exactly
+   the same document (row-major re, then im; -0, denormals and
+   non-finite tokens included) and decode back to it. *)
+let pinned_cmat_json =
+  {|{"rows":2,"cols":3,"re":[1,-0,0.33333333333333331,-2.5e-300,6.0221407599999999e+23,"nan"],"im":[123456.789,4.9406564584124654e-324,-7,0.10000000000000001,"-inf","inf"]}|}
+
+let test_artifact_cmat_encoding_pinned () =
+  let v =
+    [| 1.0; -0.0; 1.0 /. 3.0; -2.5e-300; 6.02214076e23; Float.nan;
+       Float.infinity; Float.neg_infinity; 0.1; -7.0; 4.9e-324; 123456.789 |]
+  in
+  let m =
+    Linalg.Cmat.init 2 3 (fun r c ->
+        let k = (r * 3) + c in
+        { Complex.re = v.(k); im = v.(11 - k) })
+  in
+  let encode m = Minijson.emit (Tft_rvf.Artifact.json_of_cmat m) in
+  Alcotest.(check string) "encoding" pinned_cmat_json (encode m);
+  let back = Tft_rvf.Artifact.cmat_of_json (Minijson.parse pinned_cmat_json) in
+  Alcotest.(check string) "decode + re-encode" pinned_cmat_json (encode back)
+
 let suite =
   [
     Alcotest.test_case "cancel basics" `Quick test_cancel_basics;
@@ -280,6 +304,8 @@ let suite =
       test_budgets_arm_private_token;
     Alcotest.test_case "extract checkpoint resume" `Quick
       test_extract_checkpoint_resume;
+    Alcotest.test_case "artifact cmat encoding pinned" `Quick
+      test_artifact_cmat_encoding_pinned;
   ]
   @ List.mapi
       (fun i label ->
