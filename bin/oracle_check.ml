@@ -3,7 +3,10 @@
    Usage: oracle_check [--quick] [--json FILE]
 
    Runs the battery, then the bitwise split-LU parity verdict
-   ([Battery.clu_parity]) on the buffer's TFT pencils. Prints the
+   ([Battery.clu_parity]) on the buffer's TFT pencils and the two
+   extracted-buffer-model verdicts: bitwise simulation-plan parity
+   ([Battery.plan_parity]) and bounded extrapolation
+   ([Battery.extrapolation]). Prints the
    one-line-per-check summary table to stdout, optionally
    writes the schema-versioned JSON verdict, and exits 1 if any check
    failed (tolerance exceeded, NaN metric, or an escaped exception) —
@@ -26,8 +29,12 @@ let () =
         exit 2
   in
   parse_args (List.tl (Array.to_list Sys.argv));
+  let battery = Oracle.Battery.run ~quick:!quick () in
   let verdicts =
-    Oracle.Battery.run ~quick:!quick () @ [ Oracle.Battery.clu_parity () ]
+    battery
+    @ List.map
+        (fun check -> check ())
+        Oracle.Battery.[ clu_parity; plan_parity; extrapolation ]
   in
   print_string (Oracle.Battery.summary verdicts);
   (match !json_path with

@@ -49,7 +49,27 @@ val simulate :
 (** Time-domain response to input [u] from the DC steady state at
     [u(0)], fixed-step trapezoidal update per branch (A-stable; each
     step costs a handful of flops per pole — this is where the paper's
-    speedup over transistor-level simulation comes from). *)
+    speedup over transistor-level simulation comes from).
+
+    Each call first compiles the static path and the branch inputs into
+    a flat evaluation plan (DESIGN.md, "Model evaluation plan"): the
+    closed-form stages' pole bases are deduplicated by bitwise equality,
+    so one step takes one [ln] and one [atan] per distinct state pole
+    ({!basis_poles}) however many stages share the basis, and a stage
+    reused by several branches is evaluated once. Opaque stages are
+    called as closures. The arithmetic is that of the stage closures, so
+    the result is bit-identical to evaluating every [Static_fn.eval]
+    separately. [u] is called once per step; with closed-form stages a
+    step allocates only the boxed time argument of [u]. The plan and its
+    scratch belong to the call, so a model may be simulated from several
+    domains at once.
+
+    @raise Invalid_argument unless [dt > 0] and [t_stop > 0]. *)
+
+val basis_poles : t -> int
+(** The number of [ln]/[atan] pairs one {!simulate} step evaluates: the
+    poles of the distinct pole bases of the closed-form stages reachable
+    through [Add]/[Sub] nodes. *)
 
 val equations : t -> string
 (** The analytical differential equations as readable text. *)

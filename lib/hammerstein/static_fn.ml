@@ -1,14 +1,84 @@
-type t = {
+type expansion = {
+  betas : float array;
+  alphas : float array;
+  c1 : float array;
+  c2 : float array;
+  const : float;
+  offset : float;
+}
+
+let expansion_eval e x =
+  let acc = ref (e.offset +. (e.const *. x)) in
+  for m = 0 to Array.length e.betas - 1 do
+    let dx = x -. e.betas.(m) and alpha = e.alphas.(m) in
+    let den = (dx *. dx) +. (alpha *. alpha) in
+    acc :=
+      !acc +. (e.c1.(m) *. log den) -. (2.0 *. e.c2.(m) *. atan (dx /. alpha))
+  done;
+  !acc
+
+let expansion_deriv e x =
+  let acc = ref e.const in
+  for m = 0 to Array.length e.betas - 1 do
+    let dx = x -. e.betas.(m) and alpha = e.alphas.(m) in
+    let den = (dx *. dx) +. (alpha *. alpha) in
+    acc :=
+      !acc +. (((2.0 *. e.c1.(m) *. dx) -. (2.0 *. e.c2.(m) *. alpha)) /. den)
+  done;
+  !acc
+
+let expansion_formula e =
+  let buf = Buffer.create 256 in
+  let first = ref true in
+  let plus () =
+    if !first then first := false else Buffer.add_string buf " + "
+  in
+  if e.offset <> 0.0 || Array.length e.betas = 0 then begin
+    plus ();
+    Printf.bprintf buf "%.6g" e.offset
+  end;
+  if e.const <> 0.0 then begin
+    plus ();
+    Printf.bprintf buf "%.6g*x" e.const
+  end;
+  for m = 0 to Array.length e.betas - 1 do
+    let beta = e.betas.(m) and alpha = e.alphas.(m) in
+    if e.c1.(m) <> 0.0 then begin
+      plus ();
+      Printf.bprintf buf "%.6g*ln((x%+.6g)^2 + %.6g)" e.c1.(m) (-.beta)
+        (alpha *. alpha)
+    end;
+    if e.c2.(m) <> 0.0 then begin
+      plus ();
+      Printf.bprintf buf "%.6g*atan((x%+.6g)/%.6g)" (-2.0 *. e.c2.(m)) (-.beta)
+        alpha
+    end
+  done;
+  Buffer.contents buf
+
+type shape = Expansion of expansion | Add of t * t | Sub of t * t | Opaque
+
+and t = {
   eval : float -> float;
   deriv : float -> float;
   formula : string;
   analytic : bool;
+  shape : shape;
 }
 
 let make ?(analytic = true) ~formula ~eval ~deriv () =
-  { eval; deriv; formula; analytic }
+  { eval; deriv; formula; analytic; shape = Opaque }
 
-let zero = { eval = (fun _ -> 0.0); deriv = (fun _ -> 0.0); formula = "0"; analytic = true }
+let of_expansion e =
+  {
+    eval = expansion_eval e;
+    deriv = expansion_deriv e;
+    formula = expansion_formula e;
+    analytic = true;
+    shape = Expansion e;
+  }
+
+let zero = make ~formula:"0" ~eval:(fun _ -> 0.0) ~deriv:(fun _ -> 0.0) ()
 
 let add a b =
   {
@@ -16,6 +86,7 @@ let add a b =
     deriv = (fun x -> a.deriv x +. b.deriv x);
     formula = Printf.sprintf "(%s) + (%s)" a.formula b.formula;
     analytic = a.analytic && b.analytic;
+    shape = Add (a, b);
   }
 
 let sub a b =
@@ -24,15 +95,15 @@ let sub a b =
     deriv = (fun x -> a.deriv x -. b.deriv x);
     formula = Printf.sprintf "(%s) - (%s)" a.formula b.formula;
     analytic = a.analytic && b.analytic;
+    shape = Sub (a, b);
   }
 
 let scale k a =
-  {
-    eval = (fun x -> k *. a.eval x);
-    deriv = (fun x -> k *. a.deriv x);
-    formula = Printf.sprintf "%g*(%s)" k a.formula;
-    analytic = a.analytic;
-  }
+  make ~analytic:a.analytic
+    ~formula:(Printf.sprintf "%g*(%s)" k a.formula)
+    ~eval:(fun x -> k *. a.eval x)
+    ~deriv:(fun x -> k *. a.deriv x)
+    ()
 
 let of_samples_numeric ~xs ~rs =
   let n = Array.length xs in
@@ -70,9 +141,8 @@ let of_samples_numeric ~xs ~rs =
       rs.(!lo) +. (w *. (rs.(!hi) -. rs.(!lo)))
     end
   in
-  {
-    eval = interp acc;
-    deriv = interp_deriv;
-    formula = Printf.sprintf "<numeric table over [%g, %g], %d points>" xs.(0) xs.(n - 1) n;
-    analytic = false;
-  }
+  make ~analytic:false
+    ~formula:
+      (Printf.sprintf "<numeric table over [%g, %g], %d points>" xs.(0)
+         xs.(n - 1) n)
+    ~eval:(interp acc) ~deriv:interp_deriv ()

@@ -37,6 +37,9 @@ let checked name f =
 
 (* ---------------- shared helpers ---------------- *)
 
+let bits_differ a b =
+  not (Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
+
 let mna_of (o : Ladder.oracle) =
   Engine.Mna.build ~inputs:[ o.Ladder.input ] ~outputs:[ o.Ladder.output ]
     o.Ladder.netlist
@@ -240,9 +243,6 @@ let check_kernel_parity ~quick () =
   in
   let md, id = run Vf.Vfit.Dense in
   let mf, i_f = run Vf.Vfit.Fast in
-  let bits_differ a b =
-    not (Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
-  in
   let mismatches = ref 0 in
   let cmp a b = if bits_differ a b then incr mismatches in
   if Array.length md.Vf.Model.poles <> Array.length mf.Vf.Model.poles then
@@ -466,9 +466,6 @@ let clu_parity () =
   let ws = Engine.Ac.make_ws ~b ~d in
   let pencil = Linalg.Cmat.create n n in
   let clu = Linalg.Clu.workspace n and rf = Clu_ref.workspace n in
-  let bits_differ a b =
-    not (Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
-  in
   let differ (a : Complex.t) (b : Complex.t) =
     bits_differ a.Complex.re b.Complex.re || bits_differ a.Complex.im b.Complex.im
   in
@@ -525,6 +522,89 @@ let clu_parity () =
     m "pencil_bit_mismatches" (float_of_int !pencil_mm) 0.0;
     m "lu_bit_mismatches" (float_of_int !lu_mm) 0.0;
     m "transfer_bit_mismatches" (float_of_int !h_mm) 0.0;
+  ]
+
+(* ---------------- model simulation ---------------- *)
+
+(* the paper's buffer model, extracted once for both checks below *)
+let buffer_outcome = lazy (Tft_rvf.Pipeline.extract_buffer ())
+
+(* Hmodel.simulate's compiled shared-basis plan against the closure loop
+   it replaced (Hmodel_ref): the buffer model and four synthetic truth
+   models, each driven by 8 seeded 32-bit PRBS patterns at the buffer's
+   2.5 GS/s, 40 steps per bit. Every time and value must agree bit for
+   bit; bounds are exact zeros. *)
+let plan_parity () =
+  checked "hmodel-plan-parity" @@ fun () ->
+  let models =
+    (Lazy.force buffer_outcome).Tft_rvf.Pipeline.model
+    :: Synth.model_of Synth.default
+    :: List.init 3 (fun seed ->
+           Synth.model_of (Gen.synth_params { Gen.seed; size = 1 }))
+  in
+  let t_stop = 32.0 /. 2.5e9 in
+  let dt = t_stop /. (32.0 *. 40.0) in
+  (* differing entries; a length difference counts as that many *)
+  let mismatches a b =
+    let k = ref (abs (Array.length a - Array.length b)) in
+    for i = 0 to Stdlib.min (Array.length a) (Array.length b) - 1 do
+      if bits_differ a.(i) b.(i) then incr k
+    done;
+    !k
+  in
+  let samples = ref 0 and times_mm = ref 0 and values_mm = ref 0 in
+  List.iter
+    (fun model ->
+      for seed = 1 to 8 do
+        let u =
+          Circuit.Netlist.wave_to_source (Circuits.Buffer.bit_wave ~seed ())
+        in
+        let got = Hammerstein.Hmodel.simulate model ~u ~t_stop ~dt in
+        let want = Hmodel_ref.simulate model ~u ~t_stop ~dt in
+        let open Signal.Waveform in
+        samples := !samples + length want;
+        times_mm := !times_mm + mismatches (times got) (times want);
+        values_mm := !values_mm + mismatches (values got) (values want)
+      done)
+    models;
+  [
+    m "samples_short" (float_of_int (Stdlib.max 0 ((5 * 8 * 1281) - !samples))) 0.0;
+    m "time_bit_mismatches" (float_of_int !times_mm) 0.0;
+    m "value_bit_mismatches" (float_of_int !values_mm) 0.0;
+  ]
+
+(* Outside the training envelope: a slow sine reaching 1.5 trained widths
+   past both ends of the buffer's state range. The closed-form stages mix
+   saturating atan terms with logarithmic ones, so the output must stay
+   finite and within 1.25x of the model's own DC curve over the driven
+   range. *)
+let extrapolation () =
+  checked "model-extrapolation" @@ fun () ->
+  let o = Lazy.force buffer_outcome in
+  let model = o.Tft_rvf.Pipeline.model in
+  let x_lo, x_hi = o.Tft_rvf.Pipeline.rvf.Rvf.x_range in
+  let width = x_hi -. x_lo in
+  let lo = x_lo -. (1.5 *. width) and hi = x_hi +. (1.5 *. width) in
+  let mid = 0.5 *. (lo +. hi) and ampl = 0.5 *. (hi -. lo) in
+  (* the training sine's rate: quasi-static against the GHz dynamics *)
+  let freq = 1e6 in
+  let u t = mid -. (ampl *. cos (2.0 *. Float.pi *. freq *. t)) in
+  let w = Hammerstein.Hmodel.simulate model ~u ~t_stop:(1.0 /. freq) ~dt:1e-9 in
+  let ys = Signal.Waveform.values w in
+  let nonfinite =
+    Array.fold_left (fun k y -> if Float.is_finite y then k else k + 1) 0 ys
+  in
+  let y_peak = Array.fold_left (fun a y -> Float.max a (Float.abs y)) 0.0 ys in
+  let dc_peak =
+    Array.fold_left
+      (fun a x ->
+        Float.max a (Float.abs (Hammerstein.Hmodel.dc_output model ~x)))
+      0.0
+      (Signal.Grid.linspace lo hi 401)
+  in
+  [
+    m "nonfinite_samples" (float_of_int nonfinite) 0.0;
+    m "peak_over_dc_peak" (y_peak /. dc_peak) 1.25;
   ]
 
 (* ---------------- the battery ---------------- *)

@@ -66,6 +66,23 @@ val clu_parity : unit -> verdict
     factorizations); [oracle_check] runs it after the battery, so
     [@oracle-smoke] gates on it. *)
 
+val plan_parity : unit -> verdict
+(** ["hmodel-plan-parity"]: {!Hammerstein.Hmodel.simulate} (the compiled
+    shared-basis plan) against the closure loop it replaced,
+    {!Hmodel_ref.simulate}, on the extracted buffer model and four
+    {!Synth} truth models, each driven by 8 seeded 32-bit PRBS patterns.
+    Times and values must agree bit for bit. *)
+
+val extrapolation : unit -> verdict
+(** ["model-extrapolation"]: the extracted buffer model driven by a slow
+    sine reaching 1.5 trained widths beyond its state range on both
+    sides. Every output sample must be finite, and the peak [|y|] at
+    most 1.25× the peak [|dc_output|] over the driven range.
+
+    Both checks share one buffer extraction (about a second), so like
+    {!clu_parity} they are kept out of {!run}; [oracle_check] runs them
+    after the battery and [@oracle-smoke] gates on them. *)
+
 val json : quick:bool -> verdict list -> string
 (** Schema-versioned verdict document:
     [{"schema_version": 1, "kind": "oracle", "quick": bool,

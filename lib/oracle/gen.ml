@@ -141,19 +141,24 @@ let residue_traces ?(traces = 4) s =
   let xs = Signal.Grid.linspace 0.0 1.0 40 in
   let data =
     Array.init traces (fun _ ->
-        let terms =
+        (* c2 is drawn before c1 for each pair, so every seed keeps
+           reproducing the same case *)
+        let coeffs =
           Array.map
-            (fun (beta, alpha) ->
-              {
-                Rvf.Ratfn.beta;
-                alpha;
-                c1 = uniform st (-2.0) 2.0;
-                c2 = uniform st (-2.0) 2.0;
-              })
+            (fun _ ->
+              let c2 = uniform st (-2.0) 2.0 in
+              (uniform st (-2.0) 2.0, c2))
             pairs
         in
         let rf =
-          { Rvf.Ratfn.pairs = terms; const = uniform st (-1.0) 1.0; offset = 0.0 }
+          {
+            Rvf.Ratfn.betas = Array.map fst pairs;
+            alphas = Array.map snd pairs;
+            c1 = Array.map fst coeffs;
+            c2 = Array.map snd coeffs;
+            const = uniform st (-1.0) 1.0;
+            offset = 0.0;
+          }
         in
         Array.map (fun x -> { Complex.re = Rvf.Ratfn.deriv rf x; im = 0.0 }) xs)
   in

@@ -35,15 +35,10 @@ let validate p =
 
 let ratfn_of ?(scale = 1.0) p (c1, c2, const) =
   {
-    Rvf.Ratfn.pairs =
-      [|
-        {
-          Rvf.Ratfn.beta = p.state_beta;
-          alpha = p.state_alpha;
-          c1 = scale *. c1;
-          c2 = scale *. c2;
-        };
-      |];
+    Rvf.Ratfn.betas = [| p.state_beta |];
+    alphas = [| p.state_alpha |];
+    c1 = [| scale *. c1 |];
+    c2 = [| scale *. c2 |];
     const = scale *. const;
     offset = 0.0;
   }

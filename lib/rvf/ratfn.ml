@@ -1,6 +1,11 @@
-type pair_term = { beta : float; alpha : float; c1 : float; c2 : float }
-
-type t = { pairs : pair_term array; const : float; offset : float }
+type t = Hammerstein.Static_fn.expansion = {
+  betas : float array;
+  alphas : float array;
+  c1 : float array;
+  c2 : float array;
+  const : float;
+  offset : float;
+}
 
 exception Not_integrable of string
 
@@ -8,86 +13,37 @@ let of_model (m : Vf.Model.t) ~elem =
   if m.Vf.Model.slopes.(elem) <> 0.0 then
     raise (Not_integrable "model has a linear slope term");
   let coeffs = m.Vf.Model.coeffs.(elem) in
-  let pairs = ref [] in
-  List.iter
-    (fun slot ->
-      match slot with
-      | Vf.Pole.Single k ->
-          if coeffs.(k) <> 0.0 then
-            raise
-              (Not_integrable
-                 (Printf.sprintf "real pole %g on the state axis"
-                    m.Vf.Model.poles.(k).Complex.re))
-      | Vf.Pole.Pair_first k ->
-          let a = m.Vf.Model.poles.(k) in
-          pairs :=
-            {
-              beta = a.Complex.re;
-              alpha = Float.abs a.Complex.im;
-              c1 = coeffs.(k);
-              c2 = coeffs.(k + 1);
-            }
-            :: !pairs)
-    (Vf.Pole.structure m.Vf.Model.poles);
+  let pairs =
+    List.filter_map
+      (fun slot ->
+        match slot with
+        | Vf.Pole.Single k ->
+            if coeffs.(k) <> 0.0 then
+              raise
+                (Not_integrable
+                   (Printf.sprintf "real pole %g on the state axis"
+                      m.Vf.Model.poles.(k).Complex.re));
+            None
+        | Vf.Pole.Pair_first k -> Some k)
+      (Vf.Pole.structure m.Vf.Model.poles)
+    |> Array.of_list
+  in
+  let pole k = m.Vf.Model.poles.(k) in
   {
-    pairs = Array.of_list (List.rev !pairs);
+    betas = Array.map (fun k -> (pole k).Complex.re) pairs;
+    alphas = Array.map (fun k -> Float.abs (pole k).Complex.im) pairs;
+    c1 = Array.map (fun k -> coeffs.(k)) pairs;
+    c2 = Array.map (fun k -> coeffs.(k + 1)) pairs;
     const = m.Vf.Model.consts.(elem);
     offset = 0.0;
   }
 
-let deriv t x =
-  let acc = ref t.const in
-  Array.iter
-    (fun { beta; alpha; c1; c2 } ->
-      let dx = x -. beta in
-      let den = (dx *. dx) +. (alpha *. alpha) in
-      acc := !acc +. (((2.0 *. c1 *. dx) -. (2.0 *. c2 *. alpha)) /. den))
-    t.pairs;
-  !acc
-
-let eval t x =
-  let acc = ref (t.offset +. (t.const *. x)) in
-  Array.iter
-    (fun { beta; alpha; c1; c2 } ->
-      let dx = x -. beta in
-      let den = (dx *. dx) +. (alpha *. alpha) in
-      acc :=
-        !acc +. (c1 *. log den) -. (2.0 *. c2 *. atan (dx /. alpha)))
-    t.pairs;
-  !acc
+let deriv = Hammerstein.Static_fn.expansion_deriv
+let eval = Hammerstein.Static_fn.expansion_eval
 
 let set_value t ~at ~value =
   let current = eval t at in
   { t with offset = t.offset +. value -. current }
 
-let formula t =
-  let buf = Buffer.create 256 in
-  let first = ref true in
-  let plus () =
-    if !first then first := false else Buffer.add_string buf " + "
-  in
-  if t.offset <> 0.0 || Array.length t.pairs = 0 then begin
-    plus ();
-    Printf.bprintf buf "%.6g" t.offset
-  end;
-  if t.const <> 0.0 then begin
-    plus ();
-    Printf.bprintf buf "%.6g*x" t.const
-  end;
-  Array.iter
-    (fun { beta; alpha; c1; c2 } ->
-      if c1 <> 0.0 then begin
-        plus ();
-        Printf.bprintf buf "%.6g*ln((x%+.6g)^2 + %.6g)" c1 (-.beta)
-          (alpha *. alpha)
-      end;
-      if c2 <> 0.0 then begin
-        plus ();
-        Printf.bprintf buf "%.6g*atan((x%+.6g)/%.6g)" (-2.0 *. c2) (-.beta) alpha
-      end)
-    t.pairs;
-  Buffer.contents buf
-
-let to_static_fn t =
-  Hammerstein.Static_fn.make ~analytic:true ~formula:(formula t) ~eval:(eval t)
-    ~deriv:(deriv t) ()
+let formula = Hammerstein.Static_fn.expansion_formula
+let to_static_fn = Hammerstein.Static_fn.of_expansion

@@ -9,12 +9,16 @@
     [f(x) = d·x + Σ_m (c₁·ln((x−β)² + α²) − 2c₂·atan((x−β)/α)) + C]
 
     This closed form is what makes the RVF flow fully automated, in
-    contrast to CAFFEINE's evolved expressions. *)
+    contrast to CAFFEINE's evolved expressions. It is
+    {!Hammerstein.Static_fn.expansion}, which holds the single definition
+    of [eval], [deriv] and [formula]; this module builds it from a fitted
+    VF model. *)
 
-type pair_term = { beta : float; alpha : float; c1 : float; c2 : float }
-
-type t = {
-  pairs : pair_term array;
+type t = Hammerstein.Static_fn.expansion = {
+  betas : float array;  (** pole real parts [β_m] *)
+  alphas : float array;  (** pole imaginary parts [α_m > 0] *)
+  c1 : float array;
+  c2 : float array;
   const : float;  (** the constant term [d] of r(x) *)
   offset : float;  (** integration constant [C] of f(x) *)
 }
@@ -40,3 +44,4 @@ val formula : t -> string
 (** Human-readable analytical expression of f(x). *)
 
 val to_static_fn : t -> Hammerstein.Static_fn.t
+(** The closed-form stage ({!Hammerstein.Static_fn.of_expansion}). *)

@@ -272,6 +272,315 @@ let test_matlab_export () =
   Alcotest.(check bool) "function header" true (contains ml "function");
   Alcotest.(check bool) "rhs" true (contains ml "dydt(1)")
 
+(* A fixed hand-built closed-form model whose equation text and both
+   exports are pinned byte for byte, so a change to how stages are
+   represented or evaluated cannot silently change the exported text. *)
+let pinned_model () =
+  let r betas alphas c1 c2 ~const ~offset =
+    { Rvf.Ratfn.betas; alphas; c1; c2; const; offset }
+  in
+  let ra =
+    r [| 0.8; 1.2 |] [| 0.3; 0.1 |] [| 1.5; -0.7 |] [| -0.4; 0.9 |]
+      ~const:0.25 ~offset:(-0.125)
+  in
+  let rb =
+    r [| 0.8; 1.2 |] [| 0.3; 0.1 |] [| 0.0; 3.25 |] [| 2.5; 0.0 |] ~const:0.0
+      ~offset:0.0
+  in
+  let rc = r [| 0.6 |] [| 0.45 |] [| -1.1 |] [| 0.3 |] ~const:(-2.0) ~offset:0.5 in
+  let rs = r [||] [||] [||] [||] ~const:1.5 ~offset:0.0 in
+  let stages = [| ra; rb; rc |] in
+  Rvf.Assemble.hammerstein ~name:"pinned"
+    ~freq_poles:
+      [|
+        { Complex.re = -1e9; im = 6e9 };
+        { Complex.re = -1e9; im = -6e9 };
+        { Complex.re = -3e8; im = 0.0 };
+      |]
+    ~stage:(fun k -> Rvf.Ratfn.to_static_fn stages.(k))
+    ~static_path:
+      (Hammerstein.Static_fn.add (Rvf.Ratfn.to_static_fn rs)
+         (Rvf.Ratfn.to_static_fn (Rvf.Ratfn.set_value rc ~at:0.9 ~value:0.2)))
+
+let pinned_equations = {|// model: pinned (order 3)
+// static path
+y0(t) = F0(x(t)),  F0(x) = (0 + 1.5*x) + (1.00058 + -2*x + -1.1*ln((x-0.6)^2 + 0.2025) + -0.6*atan((x-0.6)/0.45))
+
+// branch 0 (complex pole pair -1.000000e+09 +/- j6.000000e+09)
+d/dt y1a = -1.000000e+09*y1a + 6.000000e+09*y1b + f1a(x(t))
+d/dt y1b = -6.000000e+09*y1a + -1.000000e+09*y1b + f1b(x(t))
+f1a(x) = (-0.125 + 0.25*x + 1.5*ln((x-0.8)^2 + 0.09) + 0.8*atan((x-0.8)/0.3) + -0.7*ln((x-1.2)^2 + 0.01) + -1.8*atan((x-1.2)/0.1)) + (-5*atan((x-0.8)/0.3) + 3.25*ln((x-1.2)^2 + 0.01))
+f1b(x) = (-0.125 + 0.25*x + 1.5*ln((x-0.8)^2 + 0.09) + 0.8*atan((x-0.8)/0.3) + -0.7*ln((x-1.2)^2 + 0.01) + -1.8*atan((x-1.2)/0.1)) - (-5*atan((x-0.8)/0.3) + 3.25*ln((x-1.2)^2 + 0.01))
+
+// branch 1 (real pole)
+d/dt y2 = -3.000000e+08 * y2 + f2(x(t))
+f2(x) = 0.5 + -2*x + -1.1*ln((x-0.6)^2 + 0.2025) + -0.6*atan((x-0.6)/0.45)
+
+y(t) = y0(t) + y1a + y1b + y2
+|}
+
+let pinned_verilog_a = {|// generated from model "pinned"
+`include "disciplines.vams"
+
+module tft_rvf_model(in, out);
+  inout in, out;
+  electrical in, out;
+  electrical y1a;
+  electrical y1b;
+  electrical y2;
+
+  analog begin
+    // x(t) = u(t): state estimator of dimension 1
+    // branch 1: f1(x) = (-0.125 + 0.25*x + 1.5*ln((x-0.8)^2 + 0.09) + 0.8*atan((x-0.8)/0.3) + -0.7*ln((x-1.2)^2 + 0.01) + -1.8*atan((x-1.2)/0.1)) + (-5*atan((x-0.8)/0.3) + 3.25*ln((x-1.2)^2 + 0.01))
+    //            f2(x) = (-0.125 + 0.25*x + 1.5*ln((x-0.8)^2 + 0.09) + 0.8*atan((x-0.8)/0.3) + -0.7*ln((x-1.2)^2 + 0.01) + -1.8*atan((x-1.2)/0.1)) - (-5*atan((x-0.8)/0.3) + 3.25*ln((x-1.2)^2 + 0.01))
+    ddt(V(y1a)) <+ -1.000000000e+09*V(y1a) + 6.000000000e+09*V(y1b) + f1a(V(in));
+    ddt(V(y1b)) <+ -6.000000000e+09*V(y1a) + -1.000000000e+09*V(y1b) + f1b(V(in));
+    // branch 2: f(x) = 0.5 + -2*x + -1.1*ln((x-0.6)^2 + 0.2025) + -0.6*atan((x-0.6)/0.45)
+    ddt(V(y2)) <+ -3.000000000e+08*V(y2) + (f2(V(in)));
+    V(out) <+ (F0(V(in))) + V(y1a) + V(y1b) + V(y2);
+    // F0(x) = (0 + 1.5*x) + (1.00058 + -2*x + -1.1*ln((x-0.6)^2 + 0.2025) + -0.6*atan((x-0.6)/0.45))
+  end
+endmodule
+|}
+
+let pinned_matlab = {|function [dydt, yout] = tft_rvf_rhs(t, y, u)
+% generated from model 'pinned'
+x = u(t);
+dydt = zeros(3, 1);
+% f1a(x) = (-0.125 + 0.25*x + 1.5*ln((x-0.8)^2 + 0.09) + 0.8*atan((x-0.8)/0.3) + -0.7*ln((x-1.2)^2 + 0.01) + -1.8*atan((x-1.2)/0.1)) + (-5*atan((x-0.8)/0.3) + 3.25*ln((x-1.2)^2 + 0.01))
+% f1b(x) = (-0.125 + 0.25*x + 1.5*ln((x-0.8)^2 + 0.09) + 0.8*atan((x-0.8)/0.3) + -0.7*ln((x-1.2)^2 + 0.01) + -1.8*atan((x-1.2)/0.1)) - (-5*atan((x-0.8)/0.3) + 3.25*ln((x-1.2)^2 + 0.01))
+dydt(1) = -1.000000000e+09*y(1) + 6.000000000e+09*y(2) + f1a(x);
+dydt(2) = -6.000000000e+09*y(1) + -1.000000000e+09*y(2) + f1b(x);
+% f2(x) = 0.5 + -2*x + -1.1*ln((x-0.6)^2 + 0.2025) + -0.6*atan((x-0.6)/0.45)
+dydt(3) = -3.000000000e+08*y(3) + f2(x);
+% F0(x) = (0 + 1.5*x) + (1.00058 + -2*x + -1.1*ln((x-0.6)^2 + 0.2025) + -0.6*atan((x-0.6)/0.45))
+yout = F0(x) + sum(y);
+end
+|}
+
+let test_exports_pinned () =
+  let m = pinned_model () in
+  Alcotest.(check string) "equations" pinned_equations
+    (Hammerstein.Hmodel.equations m);
+  Alcotest.(check string) "verilog-a" pinned_verilog_a
+    (Hammerstein.Export.verilog_a m);
+  Alcotest.(check string) "matlab" pinned_matlab (Hammerstein.Export.matlab m)
+
+(* ---------------- simulation plan ---------------- *)
+
+let bits_equal a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a b
+
+let same_waveform w_a w_b =
+  bits_equal (Signal.Waveform.times w_a) (Signal.Waveform.times w_b)
+  && bits_equal (Signal.Waveform.values w_a) (Signal.Waveform.values w_b)
+
+(* The next float after [x]: a basis differing from another in one bit. *)
+let next_float x = Int64.float_of_bits (Int64.succ (Int64.bits_of_float x))
+
+(* A random model mixing first- and second-order branches with
+   closed-form stages over 1–3 pole bases, opaque closures, numeric
+   tables, [scale] and nested [add]/[sub]. Each closed-form leaf draws
+   its basis as the original arrays, a fresh copy (same bits: must be
+   shared) or a copy one bit off in a beta or an alpha (must not be).
+   Returns the model and the number of basis poles the plan should
+   evaluate per step. *)
+let random_model st =
+  let uniform lo hi = lo +. Random.State.float st (hi -. lo) in
+  let bases =
+    Array.init
+      (1 + Random.State.int st 3)
+      (fun _ ->
+        let n = 1 + Random.State.int st 3 in
+        ( Array.init n (fun k -> uniform 0.3 1.5 +. (0.1 *. float_of_int k)),
+          Array.init n (fun _ -> uniform 0.05 0.5) ))
+  in
+  (* keys of the distinct bases reachable through closed-form leaves *)
+  let used = Hashtbl.create 8 in
+  let leaf () =
+    let i = Random.State.int st (Array.length bases) in
+    let betas, alphas = bases.(i) in
+    let variant = Random.State.int st 4 in
+    let betas, alphas =
+      match variant with
+      | 0 -> (betas, alphas)
+      | 1 -> (Array.copy betas, Array.copy alphas)
+      | 2 ->
+          let b = Array.copy betas in
+          b.(0) <- next_float b.(0);
+          (b, alphas)
+      | _ ->
+          let a = Array.copy alphas in
+          a.(Array.length a - 1) <- next_float a.(Array.length a - 1);
+          (betas, a)
+    in
+    let n = Array.length betas in
+    let e =
+      {
+        Hammerstein.Static_fn.betas;
+        alphas;
+        c1 = Array.init n (fun _ -> uniform (-2.0) 2.0);
+        c2 = Array.init n (fun _ -> uniform (-2.0) 2.0);
+        const = uniform (-1.0) 1.0;
+        offset = uniform (-1.0) 1.0;
+      }
+    in
+    let key = (i, if variant = 1 then 0 else variant) in
+    (Hammerstein.Static_fn.of_expansion e, [ (key, n) ])
+  in
+  let rec stage depth =
+    match Random.State.int st (if depth = 0 then 4 else 7) with
+    | 0 | 1 -> leaf ()
+    | 2 ->
+        let k = uniform 0.5 2.0 in
+        (linear_static k, [])
+    | 3 ->
+        let xs = Signal.Grid.linspace 0.0 2.0 9 in
+        let w = uniform (-1.0) 1.0 in
+        ( Hammerstein.Static_fn.of_samples_numeric ~xs
+            ~rs:(Array.map (fun x -> sin (w *. x)) xs),
+          [] )
+    | 4 ->
+        (* scale is opaque: its operand's bases stay inside the closure *)
+        let f, _ = stage (depth - 1) in
+        (Hammerstein.Static_fn.scale (uniform (-2.0) 2.0) f, [])
+    | 5 ->
+        let a, ka = stage (depth - 1) in
+        let b, kb = stage (depth - 1) in
+        (Hammerstein.Static_fn.add a b, ka @ kb)
+    | _ ->
+        let a, ka = stage (depth - 1) in
+        let b, kb = stage (depth - 1) in
+        (Hammerstein.Static_fn.sub a b, ka @ kb)
+  in
+  let note keys = List.iter (fun (key, n) -> Hashtbl.replace used key n) keys in
+  let stage () =
+    let f, keys = stage 2 in
+    note keys;
+    f
+  in
+  let branches =
+    Array.init (Random.State.int st 5) (fun _ ->
+        if Random.State.bool st then
+          Hammerstein.Hmodel.First_order { a = -.uniform 1e8 1e10; f = stage () }
+        else
+          let f1, f2 =
+            if Random.State.bool st then begin
+              (* the extractor's eq. (14) shape: fa, fb shared by f1, f2 *)
+              let fa = stage () and fb = stage () in
+              (Hammerstein.Static_fn.add fa fb, Hammerstein.Static_fn.sub fa fb)
+            end
+            else (stage (), stage ())
+          in
+          Hammerstein.Hmodel.Second_order
+            { alpha = -.uniform 1e8 5e9; beta = uniform 1e8 2e10; f1; f2 })
+  in
+  let model =
+    Hammerstein.Hmodel.make ~branches ~static_path:(stage ()) ()
+  in
+  (model, Hashtbl.fold (fun _ n acc -> acc + n) used 0)
+
+let prop_plan_matches_reference =
+  QCheck.Test.make ~count:200 ~name:"simulate plan is bitwise the closure loop"
+    (Oracle.Gen.arb ())
+    (fun s ->
+      let st = Oracle.Gen.rand_state s in
+      let model, expected_poles = random_model st in
+      let u =
+        Circuit.Netlist.wave_to_source
+          (Circuits.Buffer.bit_wave ~seed:(1 + s.Oracle.Gen.seed) ~length:8 ())
+      in
+      let t_stop = 8.0 /. 2.5e9 in
+      let dt = t_stop /. 160.0 in
+      let got = Hammerstein.Hmodel.simulate model ~u ~t_stop ~dt in
+      let want = Oracle.Hmodel_ref.simulate model ~u ~t_stop ~dt in
+      if not (same_waveform got want) then
+        QCheck.Test.fail_report "waveform bits differ from the reference";
+      let poles = Hammerstein.Hmodel.basis_poles model in
+      if poles <> expected_poles then
+        QCheck.Test.fail_reportf "plan evaluates %d basis poles, expected %d"
+          poles expected_poles;
+      true)
+
+(* a closed-form model with [branches] second-order branches in the
+   extractor's shape over one [poles]-pair basis *)
+let closed_form_model ~branches ~poles =
+  let st = Random.State.make [| branches; poles |] in
+  let uniform lo hi = lo +. Random.State.float st (hi -. lo) in
+  let betas = Array.init poles (fun k -> 0.4 +. (0.2 *. float_of_int k)) in
+  let alphas = Array.init poles (fun _ -> uniform 0.1 0.4) in
+  let stage () =
+    Rvf.Ratfn.to_static_fn
+      {
+        Rvf.Ratfn.betas;
+        alphas;
+        c1 = Array.init poles (fun _ -> uniform (-1.0) 1.0);
+        c2 = Array.init poles (fun _ -> uniform (-1.0) 1.0);
+        const = uniform (-1.0) 1.0;
+        offset = 0.0;
+      }
+  in
+  Hammerstein.Hmodel.make
+    ~branches:
+      (Array.init branches (fun k ->
+           let fa = stage () and fb = stage () in
+           Hammerstein.Hmodel.Second_order
+             {
+               alpha = -1e9 *. float_of_int (k + 1);
+               beta = 3e9;
+               f1 = Hammerstein.Static_fn.add fa fb;
+               f2 = Hammerstein.Static_fn.sub fa fb;
+             }))
+    ~static_path:(stage ()) ()
+
+let test_simulate_step_allocation () =
+  (* per-step minor words from the difference of two run lengths, so
+     the per-call plan and scratch cancel out *)
+  let words model ~steps =
+    let u _ = 0.9 in
+    let dt = 1e-11 in
+    let t_stop = float_of_int steps *. dt in
+    ignore (Hammerstein.Hmodel.simulate model ~u ~t_stop ~dt);
+    let w0 = Gc.minor_words () in
+    ignore (Hammerstein.Hmodel.simulate model ~u ~t_stop ~dt);
+    Gc.minor_words () -. w0
+  in
+  List.iter
+    (fun (branches, poles) ->
+      let m = closed_form_model ~branches ~poles in
+      let per_step =
+        (words m ~steps:3000 -. words m ~steps:1000) /. 2000.0
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d branches x %d poles: %.2f words/step <= 2"
+           branches poles per_step)
+        true (per_step <= 2.0))
+    [ (1, 1); (4, 3); (11, 11) ]
+
+let test_simulate_reentrant_across_domains () =
+  let m = closed_form_model ~branches:6 ~poles:5 in
+  let run seed =
+    Hammerstein.Hmodel.simulate m
+      ~u:(Circuit.Netlist.wave_to_source (Circuits.Buffer.bit_wave ~seed ()))
+      ~t_stop:(32.0 /. 2.5e9) ~dt:(32.0 /. 2.5e9 /. 1280.0)
+  in
+  let seeds = Array.init 8 (fun k -> k + 1) in
+  let sequential = Array.map run seeds in
+  let parallel =
+    Exec.with_pool ~domains:2 (fun pool ->
+        Exec.parallel_map ~pool ~chunks_per_domain:2 run seeds)
+  in
+  Array.iteri
+    (fun k w ->
+      Alcotest.(check bool)
+        (Printf.sprintf "pattern %d bit-identical" (k + 1))
+        true
+        (same_waveform w parallel.(k)))
+    sequential
+
 let suite =
   [
     Alcotest.test_case "static_fn algebra" `Quick test_static_fn_algebra;
@@ -290,4 +599,11 @@ let suite =
     Alcotest.test_case "equations text" `Quick test_equations_text;
     Alcotest.test_case "verilog-a export" `Quick test_verilog_a_export;
     Alcotest.test_case "matlab export" `Quick test_matlab_export;
+    Alcotest.test_case "exports pinned" `Quick test_exports_pinned;
+    Alcotest.test_case "simulate step allocation" `Quick
+      test_simulate_step_allocation;
+    Alcotest.test_case "simulate reentrant across domains" `Quick
+      test_simulate_reentrant_across_domains;
   ]
+  @ List.map (QCheck_alcotest.to_alcotest ~long:false)
+      [ prop_plan_matches_reference ]

@@ -8,11 +8,10 @@ let check_close tol = Alcotest.(check (float tol))
 
 let sample_ratfn () =
   {
-    Rvf.Ratfn.pairs =
-      [|
-        { Rvf.Ratfn.beta = 0.8; alpha = 0.3; c1 = 1.5; c2 = -0.4 };
-        { Rvf.Ratfn.beta = 1.2; alpha = 0.1; c1 = -0.7; c2 = 0.9 };
-      |];
+    Rvf.Ratfn.betas = [| 0.8; 1.2 |];
+    alphas = [| 0.3; 0.1 |];
+    c1 = [| 1.5; -0.7 |];
+    c2 = [| -0.4; 0.9 |];
     const = 0.25;
     offset = 1.0;
   }
