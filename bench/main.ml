@@ -838,20 +838,22 @@ let oracle_battery () =
   Printf.printf "%-24s %10.4f s\n" "battery total" seconds
 
 (* ------------------------------------------------------------------ *)
-(* Sparse tier: CSC assembly / pencil factorization / rational-Krylov
-   sweep scaling on uniform RC ladders, against the dense AC sweep.
-   The dense side is measured directly at the small sizes; at the
-   largest it is estimated from two probe frequencies scaled by the
-   grid size (a full dense sweep there would dominate the bench run).
-   The probe points double as a sparse-vs-dense parity check.          *)
+(* Sparse tier: CSC assembly / pencil factorization / frequency-sweep
+   scaling on uniform RC ladders, against the dense AC sweep. "sweep"
+   is the per-point sparse sweep extraction runs (Ac.Sparse); the
+   rational-Krylov sweep is timed beside it for comparison. The dense
+   side is measured directly at the small sizes; at the largest it is
+   estimated from two probe frequencies scaled by the grid size (a full
+   dense sweep there would dominate the bench run). The probe points
+   double as a sparse-vs-dense parity check of both sparse sweeps.     *)
 
 let sparse_tier () =
   let sizes = if !quick then [ 64; 512 ] else [ 64; 512; 2048 ] in
   let points = if !quick then 16 else 48 in
   let dense_probe_cap = 512 in
   Printf.printf "## Sparse tier (RC ladders, %d-point sweeps)\n%!" points;
-  Printf.printf "%8s %12s %12s %12s %14s %10s\n" "stages" "assemble"
-    "factor" "sweep" "dense sweep" "speedup";
+  Printf.printf "%8s %12s %12s %12s %12s %14s %10s\n" "stages" "assemble"
+    "factor" "sweep" "krylov" "dense sweep" "speedup";
   let freqs =
     Array.init points (fun i ->
         1e2 *. ((1e8 /. 1e2) ** (float_of_int i /. float_of_int (points - 1))))
@@ -880,18 +882,21 @@ let sparse_tier () =
       let lu = Linalg.Spclu.factor pencil in
       let t_factor = Clock.elapsed t0 in
       ignore (Linalg.Spclu.lu_nnz lu);
-      (* full rational-Krylov sweep over the grid *)
-      let ws =
-        Engine.Ratkrylov.make_ws ~pat ~b:(Engine.Mna.b_matrix mna)
-          ~d:(Engine.Mna.d_matrix mna)
-      in
+      (* full per-point sweep over the grid, then the Krylov sweep *)
+      let b = Engine.Mna.b_matrix mna and d = Engine.Mna.d_matrix mna in
+      let sws = Engine.Ac.Sparse.make_ws ~pat ~b ~d in
       let ss =
         Array.map (fun f -> { Complex.re = 0.0; im = 2.0 *. Float.pi *. f }) freqs
       in
       let t0 = Clock.now () in
-      let h, stats = Engine.Ratkrylov.sweep ws ~g ~c ~ss in
+      let h = Engine.Ac.Sparse.transfer_sweep sws ~g ~c ~ss in
       let t_sweep = Clock.elapsed t0 in
-      let sparse_h = Array.map (fun hm -> Linalg.Cmat.get hm 0 0) h in
+      let ws = Engine.Ratkrylov.make_ws ~pat ~b ~d in
+      let t0 = Clock.now () in
+      let hk, stats = Engine.Ratkrylov.sweep ws ~g ~c ~ss in
+      let t_krylov = Clock.elapsed t0 in
+      let row h = Array.map (fun hm -> Linalg.Cmat.get hm 0 0) h in
+      let sparse_h = row h and krylov_h = row hk in
       (* dense comparison: full sweep at small sizes, two probe points
          scaled by grid size at the large one *)
       let probes, estimated =
@@ -910,29 +915,37 @@ let sparse_tier () =
       let scale =
         Array.fold_left (fun a z -> Float.max a (Complex.norm z)) 0.0 dense_h
       in
-      let worst = ref 0.0 in
-      Array.iteri
-        (fun i f ->
-          let j =
-            if estimated then if i = 0 then 0 else points - 1
-            else i
-          in
-          ignore f;
-          let d = Complex.norm (Complex.sub dense_h.(i) sparse_h.(j)) in
-          worst := Float.max !worst (d /. scale))
-        probes;
-      if !worst > 1e-8 then begin
-        Printf.printf "  PARITY FAIL at %d stages: rel err %.3e\n%!" stages
-          !worst;
-        bench_failed := true
-      end;
+      let parity what swept =
+        let worst = ref 0.0 in
+        Array.iteri
+          (fun i _ ->
+            let j =
+              if estimated then if i = 0 then 0 else points - 1
+              else i
+            in
+            let d = Complex.norm (Complex.sub dense_h.(i) swept.(j)) in
+            worst := Float.max !worst (d /. scale))
+          probes;
+        if !worst > 1e-8 then begin
+          Printf.printf "  PARITY FAIL (%s) at %d stages: rel err %.3e\n%!"
+            what stages !worst;
+          bench_failed := true
+        end;
+        !worst
+      in
+      let worst = parity "sweep" sparse_h in
+      let krylov_worst = parity "krylov" krylov_h in
       let speedup = t_dense /. Float.max t_sweep 1e-9 in
       record (Printf.sprintf "sparse.assemble_%d_seconds" stages) t_assemble;
       record (Printf.sprintf "sparse.factor_%d_seconds" stages) t_factor;
       record (Printf.sprintf "sparse.sweep_%d_seconds" stages) t_sweep;
       record (Printf.sprintf "sparse.dense_sweep_%d_seconds" stages) t_dense;
       record (Printf.sprintf "sparse.speedup_%d" stages) speedup;
-      record (Printf.sprintf "sparse.parity_rel_err_%d" stages) !worst;
+      record (Printf.sprintf "sparse.parity_rel_err_%d" stages) worst;
+      record (Printf.sprintf "sparse.krylov_sweep_%d_seconds" stages) t_krylov;
+      record
+        (Printf.sprintf "sparse.krylov_parity_rel_err_%d" stages)
+        krylov_worst;
       record
         (Printf.sprintf "sparse.krylov_shifts_%d" stages)
         (float_of_int stats.Engine.Ratkrylov.shifts_used);
@@ -943,8 +956,8 @@ let sparse_tier () =
           speedup;
         bench_failed := true
       end;
-      Printf.printf "%8d %10.4f s %10.4f s %10.4f s %10.4f s%s %9.1fx\n%!"
-        stages t_assemble t_factor t_sweep t_dense
+      Printf.printf "%8d %10.4f s %10.4f s %10.4f s %10.4f s %10.4f s%s %9.1fx\n%!"
+        stages t_assemble t_factor t_sweep t_krylov t_dense
         (if estimated then "*" else " ")
         speedup)
     sizes;

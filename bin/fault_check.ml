@@ -36,7 +36,7 @@ let sweep_site (site : Fault.site) =
      sweeps with the sparse backend so the probes are on-path, and the
      recovery under test is the pipeline's dense-escalation rung *)
   let config =
-    if List.mem name [ "sp.singular"; "krylov.stall" ] then
+    if name = "sp.singular" then
       { config with Tft_rvf.Pipeline.backend = Engine.Mna.Sparse }
     else config
   in

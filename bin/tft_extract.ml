@@ -16,7 +16,7 @@
    arms the numerical guard layer, `--fault SITE[:seed]` arms one
    deterministic fault-injection probe (`--fault list` prints the
    registry). `--backend sparse` routes the engine stages through the
-   compressed-column MNA assembly, sparse LU and rational-Krylov
+   compressed-column MNA assembly, sparse LU and per-point sparse
    frequency sweeps (for large circuits; falls back to dense on a
    sparse-path failure). Any failure ends with a structured JSON error
    object on stderr and a nonzero exit. *)
@@ -368,10 +368,8 @@ let backend_arg =
           "Linear-algebra backend for the engine stages: $(b,dense) \
            (LAPACK-style dense LU at every linearization and grid point) \
            or $(b,sparse) (compressed-column MNA assembly, sparse LU \
-           Newton solves and rational-Krylov frequency sweeps — a few \
-           shifted factorizations per snapshot instead of one dense \
-           factorization per grid point, with every projected transfer \
-           value certified against the true sparse residual). The two \
+           Newton solves and frequency sweeps with one sparse \
+           factorization per grid point instead of a dense one). The two \
            backends agree to solver tolerance; sparse is built for \
            circuits with thousands of nodes. A sparse-path failure \
            escalates back to the dense backend automatically.")

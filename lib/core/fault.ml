@@ -108,12 +108,6 @@ let sites =
       kind = Numeric;
     };
     {
-      name = "krylov.stall";
-      where = "Engine.Ratkrylov.sweep";
-      what = "declares the rational-Krylov subspace stalled, degrading the sweep to per-point sparse solves";
-      kind = Numeric;
-    };
-    {
       name = "checkpoint.torn_write";
       where = "Checkpoint.store";
       what = "truncates a checkpoint write in place, simulating a crash that defeats the atomic rename";

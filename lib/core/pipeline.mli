@@ -28,8 +28,8 @@ type config = {
           TFT transform. [Dense] (the default) is bit-identical to
           before the knob existed. [Sparse] assembles into compiled CSC
           patterns, factors with {!Linalg.Splu}/{!Linalg.Spclu} and
-          sweeps the frequency grid through {!Engine.Ratkrylov} — the
-          large-circuit path. A singular sparse factorization or a
+          sweeps the frequency grid with one exact sparse pencil solve
+          per point ({!Engine.Ac.Sparse}) — the large-circuit path. A singular sparse factorization or a
           guard breach on the sparse path falls back to the dense
           stage transparently (counter [pipeline.sparse_fallbacks],
           [Warning] event); the fit stages are backend-independent. *)

@@ -47,14 +47,15 @@ let transfer_ws ?guard ?obs ws ~g ~c ~s =
   done;
   h
 
-let ws_matches ws ~b ~d =
-  let same a b' =
-    a == b'
-    || Linalg.Mat.rows a = Linalg.Mat.rows b'
-       && Linalg.Mat.cols a = Linalg.Mat.cols b'
-       && Linalg.Mat.unsafe_data a = Linalg.Mat.unsafe_data b'
-  in
-  same ws.b b && same ws.d d
+(* equal shape and contents: a cached workspace stays valid across
+   stages and circuits that share an input/output pair *)
+let same_mat a b =
+  a == b
+  || Linalg.Mat.rows a = Linalg.Mat.rows b
+     && Linalg.Mat.cols a = Linalg.Mat.cols b
+     && Linalg.Mat.unsafe_data a = Linalg.Mat.unsafe_data b
+
+let ws_matches ws ~b ~d = same_mat ws.b b && same_mat ws.d d
 
 (* pool-owned clones of a sweep workspace, one per chunk > 0 (chunk 0
    reuses the caller's); revalidated against the caller's (B, D) so a
@@ -90,6 +91,68 @@ let transfer_sweep ?guard ?cancel ?metrics ?obs ?pool ws ~g ~c ~ss =
         (fun w s -> solve w s)
         ss
   | _ -> Array.map (solve ws) ss
+
+(* the sparse twin: the same per-point sweep over a compiled pattern,
+   one Spclu factorization per grid point. The LU workspace replays
+   its recorded reaches after the first point, so a warm point costs
+   the numeric factorization and the solves, and allocates only H. *)
+module Sparse = struct
+  type ws = {
+    pat : Linalg.Sp.pattern;
+    b : Linalg.Mat.t;
+    d : Linalg.Mat.t;
+    pencil : Linalg.Sp.ct;  (** G + s·C, refilled in place per frequency *)
+    lu : Linalg.Spclu.t;
+    bcols : float array array;
+    xre : float array;
+    xim : float array;
+  }
+
+  let make_ws ~pat ~b ~d =
+    let n = pat.Linalg.Sp.nrows in
+    if Linalg.Mat.rows b <> n || Linalg.Mat.rows d <> n then
+      invalid_arg "Ac.Sparse.make_ws: B/D row dimension mismatch";
+    {
+      pat;
+      b;
+      d;
+      pencil = Linalg.Sp.ccreate pat;
+      lu = Linalg.Spclu.workspace pat;
+      bcols = Array.init (Linalg.Mat.cols b) (fun j -> Linalg.Mat.col b j);
+      xre = Array.make n 0.0;
+      xim = Array.make n 0.0;
+    }
+
+  let ws_matches ws ~pat ~b ~d = ws.pat == pat && same_mat ws.b b && same_mat ws.d d
+
+  let transfer_ws ?guard ?obs ws ~g ~c ~s =
+    Linalg.Sp.pencil_into ws.pencil g c s;
+    Linalg.Spclu.factor_into ?guard ws.lu ws.pencil;
+    (match obs with
+    | None -> ()
+    | Some _ ->
+        Obs.rcond obs ~site:"ac.pencil" (Linalg.Spclu.rcond_estimate ws.lu));
+    let h = Linalg.Cmat.create (Linalg.Mat.cols ws.d) (Array.length ws.bcols) in
+    for j = 0 to Array.length ws.bcols - 1 do
+      Linalg.Spclu.solve_real_into ws.lu ws.bcols.(j) ~re:ws.xre ~im:ws.xim;
+      Guard.check_split_vec guard ~site:"ac.transfer" ~re:ws.xre ~im:ws.xim;
+      Linalg.Cmat.set_col_mul_t h j ws.d ~re:ws.xre ~im:ws.xim
+    done;
+    h
+
+  let transfer_sweep ?guard ?cancel ?metrics ?obs ws ~g ~c ~ss =
+    Array.map
+      (fun s ->
+        Cancel.check cancel ~site:"ac.sweep";
+        match metrics with
+        | None -> transfer_ws ?guard ?obs ws ~g ~c ~s
+        | Some _ ->
+            let t0 = Metrics.now_if metrics in
+            let h = transfer_ws ?guard ?obs ws ~g ~c ~s in
+            Metrics.observe_since_ns metrics "ac.pencil_solve_ns" t0;
+            h)
+      ss
+end
 
 let transfer_at ~g ~c ~b ~d ~s = transfer_ws (make_ws ~b ~d) ~g ~c ~s
 

@@ -12,7 +12,7 @@
     split arrays, so evaluating a whole trajectory (K snapshots × L
     frequencies) allocates nothing beyond the small per-point transfer
     matrices. One workspace must only be used by one domain at a
-    time. *)
+    time. {!Sparse} is the same sweep over a compiled sparse pattern. *)
 
 type ws
 (** Preallocated solve buffers bound to one (B, D) input/output pair. *)
@@ -71,6 +71,57 @@ val transfer_sweep :
     sequentially anyway. With [cancel], every pencil solve probes the
     token (site ["ac.sweep"]), on the sequential and pooled paths
     alike. *)
+
+(** The sparse twin of the sweep above, for [--backend sparse]: the
+    pencil [G + s·C] is refilled over one compiled {!Linalg.Sp} pattern
+    and factored exactly once per grid point with {!Linalg.Spclu}.
+    After the first point the LU replays its recorded symbolic
+    structure, so a warm point pays the numeric factorization and the
+    [B]-column solves and allocates only its output matrix. The
+    conventions follow the dense sweep: the same [ac.pencil] rcond
+    event per factorization, the same [ac.transfer] guard sentinel, the
+    same [ac.sweep] cancellation probe per point and the same
+    [ac.pencil_solve_ns] histogram. There is no [?pool]: the TFT
+    transform fans out over snapshots instead. *)
+module Sparse : sig
+  type ws
+  (** Pencil, LU workspace, real [B] columns and split solution scratch
+      bound to one pattern and one (B, D) pair. One domain at a time. *)
+
+  val make_ws : pat:Linalg.Sp.pattern -> b:Linalg.Mat.t -> d:Linalg.Mat.t -> ws
+  (** Raises [Invalid_argument] when [B] or [D] do not have the
+      pattern's row dimension. *)
+
+  val ws_matches :
+    ws -> pat:Linalg.Sp.pattern -> b:Linalg.Mat.t -> d:Linalg.Mat.t -> bool
+  (** Same pattern (physical equality) and equal [(B, D)] contents: the
+      validity predicate for pool-cached workspaces. *)
+
+  val transfer_ws :
+    ?guard:Guard.t ->
+    ?obs:Obs.t ->
+    ws ->
+    g:Linalg.Sp.t ->
+    c:Linalg.Sp.t ->
+    s:Complex.t ->
+    Linalg.Cmat.t
+  (** One exact pencil solve at [s]; [g] and [c] must carry the
+      workspace's pattern. Raises {!Linalg.Spclu.Singular} on a
+      singular pencil or, with [guard], an rcond-floor breach; a
+      non-finite solution column raises [Guard.Violation]. *)
+
+  val transfer_sweep :
+    ?guard:Guard.t ->
+    ?cancel:Cancel.t ->
+    ?metrics:Metrics.t ->
+    ?obs:Obs.t ->
+    ws ->
+    g:Linalg.Sp.t ->
+    c:Linalg.Sp.t ->
+    ss:Complex.t array ->
+    Linalg.Cmat.t array
+  (** {!transfer_ws} at every grid point, in grid order. *)
+end
 
 val transfer_at :
   g:Linalg.Mat.t ->

@@ -110,9 +110,8 @@ let sweep ?(opts = default_opts) ?guard ?cancel ?metrics ?obs ws ~g ~c ~ss =
     Metrics.observe metrics "krylov.subspace_dim" (float_of_int subspace_dim);
     (hs, { shifts_used; subspace_dim; fallback_points; worst_residual })
   in
-  let degraded = Fault.should_fire "krylov.stall" in
   (* tiny grids cannot amortize a subspace; m = 0 has nothing to project *)
-  if degraded || l <= 2 || m = 0 then
+  if l <= 2 || m = 0 then
     finish ~shifts_used:0 ~subspace_dim:0 ~fallback_points:l
       ~worst_residual:0.0 (Array.map exact ss)
   else begin

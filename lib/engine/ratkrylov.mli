@@ -13,7 +13,12 @@
     with sparse matvecs. Points above [tol] attract further shifts; any
     still failing after [max_shifts] are solved exactly per point, so
     the sweep never trades accuracy for speed — at worst it degrades to
-    the plain per-point sparse sweep. *)
+    the plain per-point sparse sweep.
+
+    Extraction does not run this module: measured on the repo's sparse
+    circuits, the projection rounds cost more than they save, and the
+    TFT transform solves every grid point exactly with
+    {!Ac.Sparse.transfer_sweep}. It remains as a measured alternative. *)
 
 type opts = {
   max_shifts : int;  (** shift budget, ≥ 2 used (default 12) *)
@@ -71,7 +76,4 @@ val sweep :
     [metrics], records the [krylov.shifts] / [krylov.fallback_points]
     counters and the [krylov.subspace_dim] histogram. With [cancel],
     every shift solve and grid point probes the token (site
-    ["krylov.sweep"]). Hosts the ["krylov.stall"] fault probe (one
-    invocation per sweep): a firing declares the subspace stalled and
-    degrades the whole sweep to exact per-point solves — results stay
-    correct, only the speedup is lost. *)
+    ["krylov.sweep"]). *)

@@ -35,10 +35,7 @@ type t = {
   (* scatter workspace: x all-zero between columns *)
   x : float array;
   w : float array;  (* solve scratch *)
-  reach : int array;
-  stack : int array;
-  pstack : int array;
-  mark : int array;
+  sym : Spsym.t;  (* reach search scratch + replayable recording *)
   mutable factored : bool;
 }
 
@@ -62,126 +59,90 @@ let workspace (pat : Sp.pattern) =
     unz = 0;
     x = Array.make n 0.0;
     w = Array.make n 0.0;
-    reach = Array.make n 0;
-    stack = Array.make n 0;
-    pstack = Array.make n 0;
-    mark = Array.make n (-1);
+    sym = Spsym.create n ~cap;
     factored = false;
   }
 
 let ws_matches ws (pat : Sp.pattern) = ws.pat == pat
 let lu_nnz ws = ws.lnz + ws.unz
 
-let push_l ws i v =
-  if ws.lnz = Array.length ws.li then begin
-    let c = 2 * ws.lnz in
-    let ni = Array.make c 0 and nx = Array.make c 0.0 in
-    Array.blit ws.li 0 ni 0 ws.lnz;
-    Array.blit ws.lx 0 nx 0 ws.lnz;
-    ws.li <- ni;
-    ws.lx <- nx
-  end;
+(* capacity doubling stays out of line so the inlined pushes take
+   their float argument unboxed *)
+let grow_l ws =
+  let c = 2 * ws.lnz in
+  let ni = Array.make c 0 and nx = Array.make c 0.0 in
+  Array.blit ws.li 0 ni 0 ws.lnz;
+  Array.blit ws.lx 0 nx 0 ws.lnz;
+  ws.li <- ni;
+  ws.lx <- nx
+[@@inline never]
+
+let grow_u ws =
+  let c = 2 * ws.unz in
+  let ni = Array.make c 0 and nx = Array.make c 0.0 in
+  Array.blit ws.ui 0 ni 0 ws.unz;
+  Array.blit ws.ux 0 nx 0 ws.unz;
+  ws.ui <- ni;
+  ws.ux <- nx
+[@@inline never]
+
+let[@inline] push_l ws i v =
+  if ws.lnz = Array.length ws.li then grow_l ws;
   ws.li.(ws.lnz) <- i;
   ws.lx.(ws.lnz) <- v;
   ws.lnz <- ws.lnz + 1
 
-let push_u ws i v =
-  if ws.unz = Array.length ws.ui then begin
-    let c = 2 * ws.unz in
-    let ni = Array.make c 0 and nx = Array.make c 0.0 in
-    Array.blit ws.ui 0 ni 0 ws.unz;
-    Array.blit ws.ux 0 nx 0 ws.unz;
-    ws.ui <- ni;
-    ws.ux <- nx
-  end;
+let[@inline] push_u ws i v =
+  if ws.unz = Array.length ws.ui then grow_u ws;
   ws.ui.(ws.unz) <- i;
   ws.ux.(ws.unz) <- v;
   ws.unz <- ws.unz + 1
 
-(* depth-first reach of column [col]'s pattern through the columns of L
-   factored so far; fills ws.reach.(top..n-1) in reverse postorder
-   (ancestors first), which is the update order the numeric triangular
-   solve needs. Row indices in L are original rows until the final
-   remap in factor_into. *)
-let reach_of ws (a : Sp.t) ~col ~k =
-  let pat = a.Sp.pat in
-  let top = ref ws.n in
-  let start_of j = if ws.pinv.(j) < 0 then 0 else ws.lp.(ws.pinv.(j)) + 1 in
-  let end_of j = if ws.pinv.(j) < 0 then 0 else ws.lp.(ws.pinv.(j) + 1) in
-  for p = pat.Sp.colptr.(col) to pat.Sp.colptr.(col + 1) - 1 do
-    let j0 = pat.Sp.rowind.(p) in
-    if ws.mark.(j0) <> k then begin
-      let head = ref 0 in
-      ws.stack.(0) <- j0;
-      ws.mark.(j0) <- k;
-      ws.pstack.(0) <- start_of j0;
-      while !head >= 0 do
-        let j = ws.stack.(!head) in
-        let pend = end_of j in
-        let p = ref ws.pstack.(!head) in
-        let pushed = ref false in
-        while (not !pushed) && !p < pend do
-          let i = ws.li.(!p) in
-          incr p;
-          if ws.mark.(i) <> k then begin
-            ws.mark.(i) <- k;
-            ws.pstack.(!head) <- !p;
-            incr head;
-            ws.stack.(!head) <- i;
-            ws.pstack.(!head) <- start_of i;
-            pushed := true
-          end
-        done;
-        if not !pushed then begin
-          decr head;
-          decr top;
-          ws.reach.(!top) <- j
-        end
-      done
-    end
-  done;
-  !top
-
-let factor_into ?guard ws (a : Sp.t) =
-  if not (a.Sp.pat == ws.pat) then
-    invalid_arg "Splu.factor_into: matrix pattern does not match workspace";
-  let inject = Fault.should_fire "sp.singular" in
-  let n = ws.n in
+(* one numeric factorization. With [replay] the recorded reaches stand
+   in for the depth-first search and every pivot must match its
+   recording (else Spsym.Repivot); without, each column is searched and
+   recorded. Both run the same arithmetic over the same reach order. *)
+let numeric ws (a : Sp.t) ~inject ~replay =
+  let n = ws.n and sym = ws.sym and x = ws.x in
   ws.lnz <- 0;
   ws.unz <- 0;
   ws.factored <- false;
   Array.fill ws.pinv 0 n (-1);
-  Array.fill ws.mark 0 n (-1);
+  if not replay then Spsym.start_search sym;
   let apat = a.Sp.pat in
   for k = 0 to n - 1 do
     ws.lp.(k) <- ws.lnz;
     ws.up.(k) <- ws.unz;
     let col = ws.q.(k) in
-    let top = reach_of ws a ~col ~k in
+    if not replay then
+      Spsym.search_column sym apat ~li:ws.li ~lp:ws.lp ~pinv:ws.pinv ~col ~k;
+    let r = sym.Spsym.rlist in
+    let lo = sym.Spsym.rptr.(k) and hi = sym.Spsym.rptr.(k + 1) - 1 in
     (* scatter A(:,col) and run the sparse triangular solve x = L \ a *)
-    for p = top to n - 1 do
-      ws.x.(ws.reach.(p)) <- 0.0
+    for p = lo to hi do
+      x.(r.(p)) <- 0.0
     done;
     for p = apat.Sp.colptr.(col) to apat.Sp.colptr.(col + 1) - 1 do
-      ws.x.(apat.Sp.rowind.(p)) <- a.Sp.v.(p)
+      x.(apat.Sp.rowind.(p)) <- a.Sp.v.(p)
     done;
-    for p = top to n - 1 do
-      let j = ws.reach.(p) in
+    for p = lo to hi do
+      let j = r.(p) in
       let jq = ws.pinv.(j) in
       if jq >= 0 then begin
-        let xj = ws.x.(j) in
+        let xj = x.(j) in
         for pp = ws.lp.(jq) + 1 to ws.lp.(jq + 1) - 1 do
-          ws.x.(ws.li.(pp)) <- ws.x.(ws.li.(pp)) -. (ws.lx.(pp) *. xj)
+          x.(ws.li.(pp)) <- x.(ws.li.(pp)) -. (ws.lx.(pp) *. xj)
         done
       end
     done;
     (* pivot: column max over not-yet-pivotal rows, preferring the
        diagonal when it is within diag_threshold of the max *)
-    let ipiv = ref (-1) and amax = ref (-1.0) in
-    for p = top to n - 1 do
-      let i = ws.reach.(p) in
+    let ipiv = ref (-1) and amax = ref (-1.0) and diag_open = ref false in
+    for p = lo to hi do
+      let i = r.(p) in
       if ws.pinv.(i) < 0 then begin
-        let t = Float.abs ws.x.(i) in
+        if i = col then diag_open := true;
+        let t = Float.abs x.(i) in
         if t > !amax then begin
           amax := t;
           ipiv := i
@@ -189,28 +150,36 @@ let factor_into ?guard ws (a : Sp.t) =
       end
     done;
     if
-      !ipiv >= 0 && ws.mark.(col) = k
-      && ws.pinv.(col) < 0
-      && Float.abs ws.x.(col) >= diag_threshold *. !amax
-      && Float.abs ws.x.(col) >= tiny_pivot
+      !ipiv >= 0 && !diag_open
+      && Float.abs x.(col) >= diag_threshold *. !amax
+      && Float.abs x.(col) >= tiny_pivot
     then ipiv := col;
     if !ipiv < 0 then raise (Singular { pivot_index = k; magnitude = 0.0 });
-    let pivot = if inject && k = 0 then 0.0 else ws.x.(!ipiv) in
+    if replay then begin
+      if !ipiv <> sym.Spsym.rpiv.(k) then begin
+        for p = lo to hi do
+          x.(r.(p)) <- 0.0
+        done;
+        raise Spsym.Repivot
+      end
+    end
+    else sym.Spsym.rpiv.(k) <- !ipiv;
+    let pivot = if inject && k = 0 then 0.0 else x.(!ipiv) in
     if Float.abs pivot < tiny_pivot || not (Float.is_finite pivot) then
       raise (Singular { pivot_index = k; magnitude = Float.abs pivot });
     (* gather U (already-pivotal rows), diagonal last *)
-    for p = top to n - 1 do
-      let i = ws.reach.(p) in
-      if ws.pinv.(i) >= 0 then push_u ws ws.pinv.(i) ws.x.(i)
+    for p = lo to hi do
+      let i = r.(p) in
+      if ws.pinv.(i) >= 0 then push_u ws ws.pinv.(i) x.(i)
     done;
     push_u ws k pivot;
     ws.pinv.(!ipiv) <- k;
     (* L column: unit diagonal first, then the multipliers *)
     push_l ws !ipiv 1.0;
-    for p = top to n - 1 do
-      let i = ws.reach.(p) in
-      if ws.pinv.(i) < 0 then push_l ws i (ws.x.(i) /. pivot);
-      ws.x.(i) <- 0.0
+    for p = lo to hi do
+      let i = r.(p) in
+      if ws.pinv.(i) < 0 then push_l ws i (x.(i) /. pivot);
+      x.(i) <- 0.0
     done
   done;
   ws.lp.(n) <- ws.lnz;
@@ -219,7 +188,18 @@ let factor_into ?guard ws (a : Sp.t) =
   for p = 0 to ws.lnz - 1 do
     ws.li.(p) <- ws.pinv.(ws.li.(p))
   done;
+  if not replay then Spsym.finish_search ws.sym
+
+let factor_into ?guard ws (a : Sp.t) =
+  if not (a.Sp.pat == ws.pat) then
+    invalid_arg "Splu.factor_into: matrix pattern does not match workspace";
+  let inject = Fault.should_fire "sp.singular" in
+  (if ws.sym.Spsym.recorded then
+     try numeric ws a ~inject ~replay:true
+     with Spsym.Repivot -> numeric ws a ~inject ~replay:false
+   else numeric ws a ~inject ~replay:false);
   ws.factored <- true;
+  let n = ws.n in
   match guard with
   | None -> ()
   | Some (g : Guard.t) ->
@@ -284,6 +264,30 @@ let solve_into ws b x =
   for k = 0 to n - 1 do
     x.(ws.q.(k)) <- w.(k)
   done
+
+type factors = {
+  pinv : int array;
+  q : int array;
+  lp : int array;
+  li : int array;
+  lx : float array;
+  up : int array;
+  ui : int array;
+  ux : float array;
+}
+
+let factors ws =
+  if not ws.factored then invalid_arg "Splu.factors: not factored";
+  {
+    pinv = Array.copy ws.pinv;
+    q = Array.copy ws.q;
+    lp = Array.copy ws.lp;
+    li = Array.sub ws.li 0 ws.lnz;
+    lx = Array.sub ws.lx 0 ws.lnz;
+    up = Array.copy ws.up;
+    ui = Array.sub ws.ui 0 ws.unz;
+    ux = Array.sub ws.ux 0 ws.unz;
+  }
 
 let solve ws b =
   let x = Array.make (Array.length b) 0.0 in

@@ -26,7 +26,15 @@ val factor_into : ?guard:Guard.t -> t -> Sp.t -> unit
     workspace's pattern (physical equality). Raises {!Singular} when a
     column has no admissible pivot above [1e-300], or — with a guard —
     when the factored rcond estimate falls below the guard's floor.
-    Fault site [sp.singular] forces a zero pivot in column 0. *)
+    Fault site [sp.singular] forces a zero pivot in column 0; its probe
+    runs once per call.
+
+    The first successful call records every column's reach and pivot
+    row ({!Spsym}); later calls replay that recording instead of
+    searching, re-running the pivot rule on the fresh values, and
+    restart as a searching factorization the moment a column would
+    pivot differently. Either way the factors are bit-identical to
+    those of a fresh workspace. A warm call allocates nothing. *)
 
 val factor : ?guard:Guard.t -> Sp.t -> t
 
@@ -39,6 +47,21 @@ val solve_into : t -> Vec.t -> Vec.t -> unit
     buffers. *)
 
 val solve : t -> Vec.t -> Vec.t
+
+type factors = {
+  pinv : int array;  (** original row -> pivot position *)
+  q : int array;  (** column order *)
+  lp : int array;
+  li : int array;  (** [L] in CSC over pivot coordinates, unit diagonal first *)
+  lx : float array;
+  up : int array;
+  ui : int array;  (** [U] in CSC, diagonal last *)
+  ux : float array;
+}
+
+val factors : t -> factors
+(** Copies of the stored factorization, for inspection and tests.
+    Raises [Invalid_argument] when not factored. *)
 
 val lu_nnz : t -> int
 (** Stored entries in [L] and [U] together — the fill the ordering

@@ -24,12 +24,14 @@
       ({!Tft_rvf.Pipeline.extract}) on the RC ladder produces a model
       whose validation transient tracks the circuit.
     - ["sparse-tft-parity"]: the sparse backend's TFT dataset of a
-      diode-sprinkled RC grid (re-stamped CSC Jacobians, rational-Krylov
-      sweeps) matches the dense backend's per-snapshot transfer
+      diode-sprinkled RC grid (re-stamped CSC Jacobians, per-point
+      sparse pencil solves) matches the dense backend's per-snapshot transfer
       trajectories to ≤ 1e-8 of the trajectory scale.
-    - ["large-ladder-recovery"]: sparse DC solve + rational-Krylov sweep
-      of a 1000-stage RC ladder reproduce the closed-form tridiagonal
-      spectrum's transfer function and unit DC gain to ≤ 1e-8.
+    - ["large-ladder-recovery"]: sparse DC solve, then both the
+      extraction's per-point sparse sweep ({!Engine.Ac.Sparse}) and the
+      rational-Krylov sweep of a 1000-stage RC ladder, each reproducing
+      the closed-form tridiagonal spectrum's transfer function and unit
+      DC gain to ≤ 1e-8.
 
     A metric {e passes} iff [value <= bound] — NaN values fail, so a
     silently corrupted number can never pass a tolerance. *)

@@ -121,7 +121,7 @@ let quarantine guard diag metrics obs t =
    calls; revalidated against the current (B, D) so one pool can serve
    successive escalation rungs and even different circuits *)
 let ac_ws_key : Engine.Ac.ws Exec.key = Exec.new_key ()
-let rk_ws_key : Engine.Ratkrylov.ws Exec.key = Exec.new_key ()
+let sp_ws_key : Engine.Ac.Sparse.ws Exec.key = Exec.new_key ()
 
 let of_snapshots ?pool ?guard ?cancel ?diag ?trace ?metrics ?obs
     ?(backend = Engine.Mna.Dense) ?sparse_ctx ~mna ~estimator ~freqs_hz
@@ -190,9 +190,9 @@ let of_snapshots ?pool ?guard ?cancel ?diag ?trace ?metrics ?obs
            sequential pre-pass re-stamps G/C from each snapshot's
            converged state through the compiled pattern (bit-identical
            values — same accumulation order as the dense stamps) and
-           keeps only the nnz-sized value arrays. Workers then run the
-           rational-Krylov sweep on private views, so nothing shared is
-           mutated during the fan-out. *)
+           keeps only the nnz-sized value arrays. Workers then run one
+           exact sparse pencil solve per grid point on private views, so
+           nothing shared is mutated during the fan-out. *)
         let ctx =
           match sparse_ctx with
           | Some c -> c
@@ -217,22 +217,22 @@ let of_snapshots ?pool ?guard ?cancel ?diag ?trace ?metrics ?obs
           ~ws:(fun chunk ->
             match pool with
             | Some p ->
-                Exec.slot p rk_ws_key ~chunk
-                  ~valid:(fun w -> Engine.Ratkrylov.ws_matches w ~pat ~b ~d)
-                  ~make:(fun () -> Engine.Ratkrylov.make_ws ~pat ~b ~d)
-            | None -> Engine.Ratkrylov.make_ws ~pat ~b ~d)
+                Exec.slot p sp_ws_key ~chunk
+                  ~valid:(fun w -> Engine.Ac.Sparse.ws_matches w ~pat ~b ~d)
+                  ~make:(fun () -> Engine.Ac.Sparse.make_ws ~pat ~b ~d)
+            | None -> Engine.Ac.Sparse.make_ws ~pat ~b ~d)
           (fun ws ((i, snap) : int * Engine.Tran.snapshot) ->
             let gv, cv = per_snap.(i) in
             let g = { Linalg.Sp.pat; v = gv }
             and c = { Linalg.Sp.pat; v = cv } in
-            let h, _ =
-              Engine.Ratkrylov.sweep ?cancel ?metrics ?obs ws ~g ~c ~ss
+            let h =
+              Engine.Ac.Sparse.transfer_sweep ?cancel ?metrics ?obs ws ~g ~c
+                ~ss
             in
-            let h0, _ =
-              Engine.Ratkrylov.sweep ?cancel ?metrics ?obs ws ~g ~c
-                ~ss:[| Complex.zero |]
+            let h0 =
+              Engine.Ac.Sparse.transfer_ws ?obs ws ~g ~c ~s:Complex.zero
             in
-            make_sample snap i h h0.(0))
+            make_sample snap i h h0)
           (Array.mapi (fun i snap -> (i, snap)) snapshots)
   in
   quarantine guard diag metrics obs

@@ -70,11 +70,12 @@ val of_snapshots :
     are ignored: G/C are re-stamped from each snapshot's converged
     state through the compiled pattern of [sparse_ctx] (compiled on the
     fly when omitted) in a sequential pre-pass, and each snapshot's
-    grid sweep runs through {!Engine.Ratkrylov} — a few sparse shift
-    factorizations plus certified projected solves instead of one dense
-    factorization per grid point. [H(0)] comes from an exact sparse
-    solve. An armed fault site forces the sequential path so injections
-    ([sp.singular], [krylov.stall]) land deterministically; a sparse
+    grid sweep and [H(0)] run through {!Engine.Ac.Sparse}: one exact
+    sparse factorization per point, replaying the recorded symbolic
+    structure after the first. Pool workers keep their sparse
+    workspaces in the pool, keyed on the pattern's identity and the
+    [(B, D)] contents. An armed fault site forces the sequential path so
+    [sp.singular] injections land deterministically; a sparse
     singularity escapes as {!Linalg.Spclu.Singular} for the pipeline's
     escalation ladder to catch. *)
 

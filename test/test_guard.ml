@@ -137,7 +137,7 @@ let test_fault_schedule () =
     (match Fault.arm ~site:"no.such.site" () with
     | exception Invalid_argument _ -> true
     | _ -> false);
-  Alcotest.(check int) "14 sites registered" 14 (List.length Fault.sites)
+  Alcotest.(check int) "13 sites registered" 13 (List.length Fault.sites)
 
 let firing_pattern site n =
   List.init n (fun _ -> Fault.should_fire site)

@@ -181,6 +181,252 @@ let prop_krylov_vs_ac =
       else
         QCheck.Test.fail_reportf "krylov vs ac trajectory rel err %.3e" !err)
 
+(* ---------------- symbolic replay = fresh factorization ---------------- *)
+
+let same_bits a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a b
+
+(* a random square pattern (full diagonal plus ~3 off-diagonals per
+   column) and a sequence of value sets over it: diagonally dominant
+   sets keep the diagonal pivots, free sets make the threshold rule
+   pick other rows, so a reused workspace both replays and repivots *)
+let replay_case (s : Oracle.Gen.seeded) =
+  let st = Oracle.Gen.rand_state s in
+  let n = 2 + Random.State.int st (4 + (6 * s.Oracle.Gen.size)) in
+  let trips = ref [] in
+  for c = 0 to n - 1 do
+    trips := (c, c, 1.0) :: !trips;
+    for _ = 1 to 3 do
+      trips := (Random.State.int st n, c, 1.0) :: !trips
+    done
+  done;
+  let pat = (Sp.of_triplets ~nrows:n ~ncols:n (Array.of_list !trips)).Sp.pat in
+  let nz = Sp.nnz pat in
+  let value_set () =
+    let v = Array.init nz (fun _ -> Random.State.float st 2.0 -. 1.0) in
+    if Random.State.bool st then
+      for c = 0 to n - 1 do
+        match Sp.find pat c c with
+        | Some k -> v.(k) <- v.(k) +. float_of_int (2 * (n + 1))
+        | None -> ()
+      done;
+    v
+  in
+  let sets = Array.init 6 (fun _ -> (value_set (), value_set ())) in
+  (st, pat, sets)
+
+(* factor, then solve a fixed right-hand side; Singular keeps its
+   payload so a failing reuse must fail the same way as a fresh one *)
+let outcome factor factors solve ws =
+  match factor ws with
+  | () -> Ok (factors ws, solve ws)
+  | exception Linalg.Splu.Singular { pivot_index; magnitude } ->
+      Error (pivot_index, Int64.bits_of_float magnitude)
+  | exception Linalg.Spclu.Singular { pivot_index; magnitude } ->
+      Error (pivot_index, Int64.bits_of_float magnitude)
+
+let prop_splu_replay =
+  QCheck.Test.make ~count:60
+    ~name:"splu workspace reuse equals fresh factorization, bit for bit"
+    (Oracle.Gen.arb ~max_size:4 ())
+    (fun s ->
+      let st, pat, sets = replay_case s in
+      let n = pat.Sp.nrows in
+      let b = Array.init n (fun _ -> Random.State.float st 2.0 -. 1.0) in
+      let warm = Linalg.Splu.workspace pat in
+      let run ws v =
+        outcome
+          (fun ws -> Linalg.Splu.factor_into ws { Sp.pat; v })
+          Linalg.Splu.factors
+          (fun ws -> Linalg.Splu.solve ws b)
+          ws
+      in
+      Array.for_all
+        (fun (v, _) ->
+          match (run warm v, run (Linalg.Splu.workspace pat) v) with
+          | Ok (fw, xw), Ok (ff, xf) ->
+              let open Linalg.Splu in
+              fw.pinv = ff.pinv && fw.lp = ff.lp && fw.li = ff.li
+              && fw.up = ff.up && fw.ui = ff.ui && same_bits fw.lx ff.lx
+              && same_bits fw.ux ff.ux && same_bits xw xf
+              || QCheck.Test.fail_reportf "replayed factors differ (n=%d)" n
+          | Error a, Error b -> a = b
+          | _ -> QCheck.Test.fail_reportf "replay and fresh disagree on Singular")
+        sets)
+
+let prop_spclu_replay =
+  QCheck.Test.make ~count:60
+    ~name:"spclu workspace reuse equals fresh factorization, bit for bit"
+    (Oracle.Gen.arb ~max_size:4 ())
+    (fun s ->
+      let st, pat, sets = replay_case s in
+      let n = pat.Sp.nrows in
+      let b = Array.init n (fun _ -> Random.State.float st 2.0 -. 1.0) in
+      let re = Array.make n 0.0 and im = Array.make n 0.0 in
+      let warm = Linalg.Spclu.workspace pat in
+      let run ws (vr, vi) =
+        outcome
+          (fun ws ->
+            Linalg.Spclu.factor_into ws { Sp.cpat = pat; re = vr; im = vi })
+          Linalg.Spclu.factors
+          (fun ws ->
+            Linalg.Spclu.solve_real_into ws b ~re ~im;
+            (Array.copy re, Array.copy im))
+          ws
+      in
+      Array.for_all
+        (fun v ->
+          match (run warm v, run (Linalg.Spclu.workspace pat) v) with
+          | Ok (fw, (rw, iw)), Ok (ff, (rf, if_)) ->
+              let open Linalg.Spclu in
+              fw.pinv = ff.pinv && fw.lp = ff.lp && fw.li = ff.li
+              && fw.up = ff.up && fw.ui = ff.ui && same_bits fw.lre ff.lre
+              && same_bits fw.lim ff.lim && same_bits fw.ure ff.ure
+              && same_bits fw.uim ff.uim && same_bits rw rf && same_bits iw if_
+              || QCheck.Test.fail_reportf "replayed factors differ (n=%d)" n
+          | Error a, Error b -> a = b
+          | _ -> QCheck.Test.fail_reportf "replay and fresh disagree on Singular")
+        sets)
+
+(* a dense 3×3 pattern: the first matrix keeps its diagonal pivots, the
+   second has a tiny diagonal that forces other pivot rows, the third
+   returns to the first's pivots. Every factorization on the reused
+   workspace must equal a fresh one's, and the solves must be right. *)
+let test_replay_repivot () =
+  let trips v =
+    Array.init 9 (fun k ->
+        let r = k mod 3 and c = k / 3 in
+        (r, c, v.(r).(c)))
+  in
+  let dominant =
+    [| [| 4.0; 1.0; 0.5 |]; [| 1.0; 5.0; 1.0 |]; [| 0.5; 1.0; 6.0 |] |]
+  in
+  let tiny_diag =
+    [| [| 1e-3; 2.0; 0.5 |]; [| 3.0; 1e-3; 1.0 |]; [| 0.5; 1.0; 1e-3 |] |]
+  in
+  let a0 = Sp.of_triplets ~nrows:3 ~ncols:3 (trips dominant) in
+  let pat = a0.Sp.pat in
+  let with_values m =
+    { Sp.pat; v = (Sp.of_triplets ~nrows:3 ~ncols:3 (trips m)).Sp.v }
+  in
+  let ws = Linalg.Splu.workspace pat in
+  let pivots = ref [] in
+  List.iter
+    (fun m ->
+      let a = with_values m in
+      Linalg.Splu.factor_into ws a;
+      let fresh = Linalg.Splu.factor a in
+      let fw = Linalg.Splu.factors ws and ff = Linalg.Splu.factors fresh in
+      Alcotest.(check (array int)) "pivots as fresh" ff.Linalg.Splu.pinv
+        fw.Linalg.Splu.pinv;
+      Alcotest.(check bool) "L and U bits as fresh" true
+        (fw.Linalg.Splu.li = ff.Linalg.Splu.li
+        && same_bits fw.Linalg.Splu.lx ff.Linalg.Splu.lx
+        && fw.Linalg.Splu.ui = ff.Linalg.Splu.ui
+        && same_bits fw.Linalg.Splu.ux ff.Linalg.Splu.ux);
+      let b = [| 1.0; -2.0; 0.5 |] in
+      let x = Linalg.Splu.solve ws b in
+      let r = Sp.mulv a x in
+      Array.iteri (fun i bi -> check_close 1e-12 "residual" bi r.(i)) b;
+      pivots := fw.Linalg.Splu.pinv :: !pivots)
+    [ dominant; tiny_diag; dominant ];
+  match List.rev !pivots with
+  | [ p0; p1; p2 ] ->
+      Alcotest.(check bool) "second matrix pivots elsewhere" true (p0 <> p1);
+      Alcotest.(check (array int)) "third matrix back on the first's pivots" p0
+        p2
+  | _ -> assert false
+
+let minor_words_of = Test_linalg.minor_words_of
+
+let grid_pencil () =
+  let rows = 6 and cols = 6 in
+  let mna =
+    Mna.build
+      ~inputs:[ Circuits.Library.grid_input ]
+      ~outputs:[ Circuits.Library.grid_output ~rows ~cols ]
+      (Circuits.Library.rc_grid ~rows ~cols ())
+  in
+  let ctx = Mna.sparse_ctx mna in
+  let at = Engine.Dc.solve ~backend:Mna.Sparse mna in
+  (mna, ctx, Mna.eval_sparse mna ctx ~time:0.0 at)
+
+let test_warm_lu_allocation_free () =
+  let mna, ctx, sev = grid_pencil () in
+  let pat = Mna.sparse_pattern ctx and n = Mna.size mna in
+  let b = Array.init n (fun i -> float_of_int (i mod 3) -. 1.0) in
+  let x = Array.make n 0.0 and re = Array.make n 0.0 and im = Array.make n 0.0 in
+  let rws = Linalg.Splu.workspace pat in
+  let real () =
+    Linalg.Splu.factor_into rws sev.Mna.sg;
+    Linalg.Splu.solve_into rws b x
+  in
+  real ();
+  Alcotest.(check (float 0.0)) "splu factor_into + solve_into words" 0.0
+    (minor_words_of real);
+  let pencil = Sp.ccreate pat in
+  let cws = Linalg.Spclu.workspace pat in
+  let cplx () =
+    Sp.pencil_into pencil sev.Mna.sg sev.Mna.sc { Complex.re = 0.0; im = 6.3e5 };
+    Linalg.Spclu.factor_into cws pencil;
+    Linalg.Spclu.solve_real_into cws b ~re ~im
+  in
+  cplx ();
+  Alcotest.(check (float 0.0)) "spclu factor_into + solve_real_into words" 0.0
+    (minor_words_of cplx);
+  let ws =
+    Engine.Ac.Sparse.make_ws ~pat ~b:(Mna.b_matrix mna) ~d:(Mna.d_matrix mna)
+  in
+  let s = { Complex.re = 0.0; im = 6.3e5 } in
+  let point () =
+    ignore (Engine.Ac.Sparse.transfer_ws ws ~g:sev.Mna.sg ~c:sev.Mna.sc ~s)
+  in
+  point ();
+  Alcotest.(check (float 0.0)) "a warm sweep point allocates only its output"
+    (minor_words_of (fun () -> ignore (Linalg.Cmat.create 1 1)))
+    (minor_words_of point)
+
+(* ---------------- per-point sparse sweep vs dense AC sweep ---------------- *)
+
+let prop_sparse_sweep_vs_ac =
+  QCheck.Test.make ~count:25 ~name:"sparse per-point sweep matches dense ac"
+    (Oracle.Gen.arb ~max_size:3 ())
+    (fun s ->
+      let mna = mna_of (Oracle.Gen.rc_mesh s) in
+      let ctx = Mna.sparse_ctx mna in
+      let at = Engine.Dc.solve mna in
+      let ev = Mna.eval mna ~with_matrices:true ~time:0.0 at in
+      let g = Option.get ev.Mna.g_mat and c = Option.get ev.Mna.c_mat in
+      let sev = Mna.eval_sparse mna ctx ~time:0.0 at in
+      let b = Mna.b_matrix mna and d = Mna.d_matrix mna in
+      let ss =
+        Array.append
+          (Array.map Signal.Grid.s_of_hz (mesh_freqs ~points:24))
+          [| Complex.zero |]
+      in
+      let hd = Engine.Ac.transfer_sweep (Engine.Ac.make_ws ~b ~d) ~g ~c ~ss in
+      let hs =
+        Engine.Ac.Sparse.transfer_sweep
+          (Engine.Ac.Sparse.make_ws ~pat:(Mna.sparse_pattern ctx) ~b ~d)
+          ~g:sev.Mna.sg ~c:sev.Mna.sc ~ss
+      in
+      let get hm = Linalg.Cmat.get hm 0 0 in
+      let scale =
+        Array.fold_left (fun a hm -> Float.max a (Complex.norm (get hm))) 1e-300 hd
+      in
+      let err = ref 0.0 in
+      Array.iteri
+        (fun l hm ->
+          let d = Complex.norm (Complex.sub (get hs.(l)) (get hm)) in
+          err := Float.max !err (d /. scale))
+        hd;
+      if !err <= 1e-10 then true
+      else
+        QCheck.Test.fail_reportf "sparse vs dense trajectory rel err %.3e" !err)
+
 (* ---------------- full pipeline, both backends ---------------- *)
 
 (* a linear mesh is inside the model class, so both extractions converge
@@ -305,6 +551,53 @@ let test_tran_backend_parity () =
     (Printf.sprintf "state trajectories agree (%.3e)" !worst)
     true (!worst <= 1e-9)
 
+(* the sparse extraction fans snapshots across the pool with one
+   replaying LU workspace per domain; the dataset and the model must not
+   depend on the domain count *)
+let test_sparse_extraction_domains () =
+  let rows = 4 and cols = 4 in
+  let netlist = Circuits.Library.rc_grid ~rows ~cols ~diode_every:5 () in
+  let f_train = 1e4 in
+  let training =
+    {
+      Tft_rvf.Pipeline.wave =
+        Circuit.Netlist.Sine
+          { offset = 1.0; ampl = 1.0; freq = f_train; phase = 0.0 };
+      t_stop = 1.0 /. f_train;
+      dt = 1.0 /. f_train /. 96.0;
+      snapshot_every = 4;
+    }
+  in
+  let extract domains =
+    let config =
+      Tft_rvf.Pipeline.default_config_for ~points:12 ~domains
+        ~backend:Mna.Sparse ~f_min:1e2 ~f_max:1e9 ~training ()
+    in
+    Tft_rvf.Pipeline.extract ~config ~netlist ~input:Circuits.Library.grid_input
+      ~output:(Circuits.Library.grid_output ~rows ~cols)
+      ()
+  in
+  let o1 = extract 1 and o2 = extract 2 in
+  let cbits hm =
+    (Linalg.Cmat.unsafe_re hm, Linalg.Cmat.unsafe_im hm)
+  in
+  let same_cmat a b =
+    let ar, ai = cbits a and br, bi = cbits b in
+    same_bits ar br && same_bits ai bi
+  in
+  let s1 = o1.Tft_rvf.Pipeline.dataset.Tft.Dataset.samples
+  and s2 = o2.Tft_rvf.Pipeline.dataset.Tft.Dataset.samples in
+  Alcotest.(check int) "same sample count" (Array.length s1) (Array.length s2);
+  Alcotest.(check bool) "datasets bit-identical" true
+    (Array.for_all2
+       (fun (a : Tft.Dataset.sample) (b : Tft.Dataset.sample) ->
+         same_cmat a.Tft.Dataset.h0 b.Tft.Dataset.h0
+         && Array.for_all2 same_cmat a.Tft.Dataset.h b.Tft.Dataset.h)
+       s1 s2);
+  Alcotest.(check string) "models identical"
+    (Hammerstein.Hmodel.equations o1.Tft_rvf.Pipeline.model)
+    (Hammerstein.Hmodel.equations o2.Tft_rvf.Pipeline.model)
+
 let suite =
   [
     Alcotest.test_case "single-stage sparse ladder" `Quick
@@ -313,6 +606,12 @@ let suite =
       test_splu_singular_typed;
     Alcotest.test_case "transient backend parity" `Quick
       test_tran_backend_parity;
+    Alcotest.test_case "replay repivots on a changed pivot" `Quick
+      test_replay_repivot;
+    Alcotest.test_case "warm sparse lu allocates nothing" `Quick
+      test_warm_lu_allocation_free;
+    Alcotest.test_case "sparse extraction bit-identical across domains" `Quick
+      test_sparse_extraction_domains;
   ]
   @ List.map
       (QCheck_alcotest.to_alcotest ~long:false)
@@ -321,5 +620,8 @@ let suite =
         prop_splu_vs_lu;
         prop_spclu_vs_clu;
         prop_krylov_vs_ac;
+        prop_splu_replay;
+        prop_spclu_replay;
+        prop_sparse_sweep_vs_ac;
         prop_pipeline_backend_parity;
       ]
