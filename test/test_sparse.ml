@@ -314,6 +314,10 @@ let test_replay_repivot () =
   in
   let ws = Linalg.Splu.workspace pat in
   let pivots = ref [] in
+  (* an armed plan that never fires counts probe invocations: one per
+     factor_into call, the restarted one included *)
+  Fault.arm_exact ~site:"sp.singular" ~fire_at:max_int ~burst:0 ();
+  Fun.protect ~finally:(fun () -> ignore (Fault.disarm ())) @@ fun () ->
   List.iter
     (fun m ->
       let a = with_values m in
@@ -333,6 +337,11 @@ let test_replay_repivot () =
       Array.iteri (fun i bi -> check_close 1e-12 "residual" bi r.(i)) b;
       pivots := fw.Linalg.Splu.pinv :: !pivots)
     [ dominant; tiny_diag; dominant ];
+  Alcotest.(check (option int)) "sp.singular probed once per call"
+    (Some 6)
+    (Option.map
+       (fun (st : Fault.stats) -> st.Fault.calls)
+       (Fault.stats_for "sp.singular"));
   match List.rev !pivots with
   | [ p0; p1; p2 ] ->
       Alcotest.(check bool) "second matrix pivots elsewhere" true (p0 <> p1);
