@@ -3,7 +3,9 @@
    Usage: oracle_check [--quick] [--json FILE]
 
    Runs the battery, then the bitwise split-LU parity verdict
-   ([Battery.clu_parity]) on the buffer's TFT pencils and the two
+   ([Battery.clu_parity]) on the buffer's TFT pencils, the bitwise
+   real-axis fit-stage verdict ([Battery.real_axis_parity]) on the
+   buffer's state-stage traces and the two
    extracted-buffer-model verdicts: bitwise simulation-plan parity
    ([Battery.plan_parity]) and bounded extrapolation
    ([Battery.extrapolation]). Prints the
@@ -34,7 +36,7 @@ let () =
     battery
     @ List.map
         (fun check -> check ())
-        Oracle.Battery.[ clu_parity; plan_parity; extrapolation ]
+        Oracle.Battery.[ clu_parity; real_axis_parity; plan_parity; extrapolation ]
   in
   print_string (Oracle.Battery.summary verdicts);
   (match !json_path with

@@ -124,10 +124,21 @@ type ws = {
   mutable last_n : int;
       (** columns of the most recent [factor_into]; the buffers grow
           monotonically, so this bounds the live prefix of [rdiag_b] *)
+  mutable last_t : t option;
+      (** the handle returned by the most recent [factor_into], handed
+          out again when the next call factors the same storage *)
 }
 
 let workspace () =
-  { wm = None; beta_b = [||]; rdiag_b = [||]; dots = [||]; qtb = [||]; last_n = 0 }
+  {
+    wm = None;
+    beta_b = [||];
+    rdiag_b = [||];
+    dots = [||];
+    qtb = [||];
+    last_n = 0;
+    last_t = None;
+  }
 
 let ws_matrix ws ~rows ~cols =
   match ws.wm with
@@ -213,7 +224,15 @@ let factor_into ws a =
       end
     end
   done;
-  { qr = a; beta; rdiag }
+  (* a warm workspace factoring its own cached matrix gets the previous
+     handle back: same fields, so nothing observable changes, and the
+     steady state allocates nothing *)
+  match ws.last_t with
+  | Some t when t.qr == a && t.beta == beta && t.rdiag == rdiag -> t
+  | _ ->
+      let t = { qr = a; beta; rdiag } in
+      ws.last_t <- Some t;
+      t
 
 let apply_qt_into t ?(off = 0) y =
   let m = Mat.rows t.qr and n = Mat.cols t.qr in
@@ -302,24 +321,30 @@ let apply_qt_block t ~split b dst dst_row =
     dst.(dst_row + i - split) <- y.(i)
   done
 
-(* back-substitution identical to [solve_r] but reading the rhs from a
-   caller-owned buffer; the solution vector is the only allocation *)
-let solve_r_of t c =
+(* back-substitution identical to [solve_r] but reading the rhs from and
+   writing the solution to caller-owned buffers *)
+let solve_r_into t c x =
   let n = Mat.cols t.qr in
+  if Array.length c < n || Array.length x < n then
+    invalid_arg "Qr.solve_r_into: dimension mismatch";
   let scale = ref 0.0 in
   for k = 0 to n - 1 do
     scale := Float.max !scale (Float.abs t.rdiag.(k))
   done;
   let tol = !scale *. float_of_int n *. epsilon_float in
-  let x = Array.make n 0.0 in
+  let q = Mat.unsafe_data t.qr in
   for i = n - 1 downto 0 do
     if Float.abs t.rdiag.(i) <= tol then raise (Rank_deficient i);
     let acc = ref c.(i) in
     for j = i + 1 to n - 1 do
-      acc := !acc -. (Mat.get t.qr i j *. x.(j))
+      acc := !acc -. (Array.unsafe_get q ((i * n) + j) *. Array.unsafe_get x j)
     done;
     x.(i) <- !acc /. t.rdiag.(i)
-  done;
+  done
+
+let solve_r_of t c =
+  let x = Array.make (Mat.cols t.qr) 0.0 in
+  solve_r_into t c x;
   x
 
 let last_rcond ws =

@@ -55,7 +55,9 @@ val factor_into : ws -> Mat.t -> t
 (** In-place Householder factorization: [a]'s contents are destroyed and
     become the reflector/R storage of the result. Bit-identical results
     to {!factor} with zero large allocations; tau and diagonal buffers
-    come from [ws] and are overwritten by the next [factor_into]. *)
+    come from [ws] and are overwritten by the next [factor_into]. A warm
+    call on the workspace's own {!ws_matrix} allocates nothing: it hands
+    back the previous handle, which the new factorization overwrites. *)
 
 val apply_qt_into : t -> ?off:int -> Vec.t -> unit
 (** [apply_qt_into f y] overwrites [y.(off..off+m-1)] with [Qᵀ] applied to
@@ -76,6 +78,12 @@ val apply_qt_block : t -> split:int -> Vec.t -> Vec.t -> int -> unit
 (** [apply_qt_block f ~split b dst row] computes [Qᵀb] and stores entries
     [split..n-1] into [dst] at offset [row] — the right-hand-side block
     paired with {!r22_block}. *)
+
+val solve_r_into : t -> Vec.t -> Vec.t -> unit
+(** [solve_r_into f c x] is {!solve_r} writing the solution into the
+    first [n] entries of the caller-owned [x] (it reads the first [n]
+    entries of [c]; [c] and [x] must not alias). Bit-identical to
+    {!solve_r}, allocation-free; raises {!Rank_deficient} the same way. *)
 
 val least_squares_into : ws -> Mat.t -> Vec.t -> Vec.t
 (** Like {!least_squares} (bit-identical solution) but factors [a] in

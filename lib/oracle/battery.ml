@@ -543,6 +543,86 @@ let clu_parity () =
 (* the paper's buffer model, extracted once for both checks below *)
 let buffer_outcome = lazy (Tft_rvf.Pipeline.extract_buffer ())
 
+(* ---------------- real-axis fit stage vs its reference ---------------- *)
+
+let bit_distance a b =
+  let rec popcount x acc =
+    if Int64.equal x 0L then acc
+    else popcount (Int64.logand x (Int64.pred x)) (acc + 1)
+  in
+  popcount (Int64.logxor (Int64.bits_of_float a) (Int64.bits_of_float b)) 0
+
+(* the buffer's state-stage residue traces and static trace, refitted at
+   every pole count of the state ladder by the fit stage (fast kernel,
+   compacted rows, shared identification, in-place Eig) and by
+   Vfit_ref (dense kernel, per-element identification, Eig_ref). The
+   models and fit info must agree to the bit; failures must agree in
+   kind. Uses the buffer extraction shared with the model checks below. *)
+let real_axis_parity () =
+  checked "vf-real-axis-parity" @@ fun () ->
+  let o = Lazy.force buffer_outcome in
+  let config = (Tft_rvf.Pipeline.buffer_config ()).Tft_rvf.Pipeline.rvf in
+  let stage =
+    Rvf.frequency_stage ~config ~dataset:o.Tft_rvf.Pipeline.dataset ~input:0
+      ~output:0 ()
+  in
+  let sp = Rvf.state_problem ~config stage in
+  let opts = { sp.Rvf.sp_opts with Vf.Vfit.relocation_kernel = Vf.Vfit.Fast } in
+  let points = sp.Rvf.sp_points in
+  let fits = ref 0 and differing_bits = ref 0 and outcome_mm = ref 0 in
+  let outcome f =
+    match f () with r -> Ok r | exception e -> Error (Printexc.to_string e)
+  in
+  let floats (m : Vf.Model.t) (i : Vf.Vfit.info) =
+    Array.concat
+      (Array.to_list
+         (Array.map
+            (fun (z : Complex.t) -> [| z.Complex.re; z.Complex.im |])
+            m.Vf.Model.poles)
+      @ Array.to_list m.Vf.Model.coeffs
+      @ [
+          m.Vf.Model.consts;
+          m.Vf.Model.slopes;
+          [| i.Vf.Vfit.rms; i.Vf.Vfit.max_err |];
+        ])
+  in
+  let count = ref config.Rvf.state_start in
+  while !count <= config.Rvf.max_state_poles do
+    List.iter
+      (fun data ->
+        incr fits;
+        let poles = sp.Rvf.sp_make_poles !count in
+        let got =
+          outcome (fun () -> Vf.Vfit.fit ~opts ~poles ~points ~data ())
+        in
+        let want =
+          outcome (fun () -> Vfit_ref.fit ~opts ~poles ~points ~data)
+        in
+        match (got, want) with
+        | Ok (mg, ig), Ok (mw, iw) ->
+            let a = floats mg ig and b = floats mw iw in
+            if
+              Array.length a <> Array.length b
+              || ig.Vf.Vfit.iterations_run <> iw.Vf.Vfit.iterations_run
+              || ig.Vf.Vfit.pole_count <> iw.Vf.Vfit.pole_count
+            then incr outcome_mm
+            else
+              Array.iteri
+                (fun k x -> differing_bits := !differing_bits + bit_distance x b.(k))
+                a
+        | Error x, Error y when String.equal x y -> ()
+        | _ -> incr outcome_mm)
+      [ sp.Rvf.sp_traces; sp.Rvf.sp_static ];
+    count := !count + config.Rvf.state_step
+  done;
+  (* the buffer's state ladder is 2, 4, ..., 24 poles, two inputs each *)
+  [
+    m "fits_short" (Float.abs (float_of_int (24 - !fits))) 0.0;
+    m "differing_bits" (float_of_int !differing_bits) 0.0;
+    m "outcome_mismatches" (float_of_int !outcome_mm) 0.0;
+  ]
+
+
 (* Hmodel.simulate's compiled shared-basis plan against the closure loop
    it replaced (Hmodel_ref): the buffer model and four synthetic truth
    models, each driven by 8 seeded 32-bit PRBS patterns at the buffer's

@@ -68,6 +68,19 @@ val clu_parity : unit -> verdict
     factorizations); [oracle_check] runs it after the battery, so
     [@oracle-smoke] gates on it. *)
 
+val real_axis_parity : unit -> verdict
+(** ["vf-real-axis-parity"]: the buffer's state-stage inputs
+    ({!Rvf.state_problem}: the residue traces and the static trace)
+    refitted at every pole count of the state ladder, once by
+    {!Vf.Vfit.fit} (fast kernel with real-axis row compaction, shared
+    residue factorization, in-place {!Linalg.Eig}) and once by
+    {!Vfit_ref.fit} (dense kernel, per-element identification,
+    {!Eig_ref}). [differing_bits] sums the differing bits over every
+    pole, coefficient, constant, slope and error figure (bound 0);
+    [outcome_mismatches] counts fits where only one side failed, the
+    failures differ, or the iteration/pole counts differ (bound 0). Kept
+    out of {!run} like {!clu_parity}; [oracle_check] runs it. *)
+
 val plan_parity : unit -> verdict
 (** ["hmodel-plan-parity"]: {!Hammerstein.Hmodel.simulate} (the compiled
     shared-basis plan) against the closure loop it replaced,

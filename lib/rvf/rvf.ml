@@ -175,20 +175,22 @@ let assemble_model ~freq_model ~residue_model ~static_model ~has_const ~x0 ~y0 =
   Assemble.hammerstein ~name:"rvf" ~freq_poles:freq_model.Vf.Model.poles
     ~stage:stage_fn ~static_path
 
-let extract ?(config = default_config) ?guard ?cancel ?diag ?trace ?metrics
-    ?obs ?pool ~dataset ~input ~output () =
-  let t_start = Clock.now () in
-  let stage =
-    frequency_stage ~config ?guard ?cancel ?diag ?trace ?metrics ?obs ?pool
-      ~dataset ~input ~output ()
-  in
-  let freq_model = stage.fs_model and freq_info = stage.fs_info in
+type state_problem = {
+  sp_points : Complex.t array;
+  sp_traces : Complex.t array array;
+  sp_trace_scales : float array;
+  sp_static : Complex.t array array;
+  sp_opts : Vf.Vfit.opts;
+  sp_make_poles : int -> Complex.t array;
+}
+
+let state_problem ?(config = default_config) stage =
   let xs = stage.xs and x_lo = stage.x_lo and x_hi = stage.x_hi in
-  (* --- state stage: fit every residue coefficient trace over x --- *)
-  let points_x = Array.map (fun x -> { Complex.re = x; im = 0.0 }) xs in
+  let freq_model = stage.fs_model in
+  let points = Array.map (fun x -> { Complex.re = x; im = 0.0 }) xs in
   let p = Vf.Model.n_poles freq_model in
   (* trace p..(p) is the per-sample constant term d(x) when the frequency
-     stage used one; its integral joins the static path below *)
+     stage used one; its integral joins the static path *)
   let has_const = config.freq_opts.Vf.Vfit.with_const in
   let n_traces = p + if has_const then 1 else 0 in
   (* each trace is normalized to unit RMS for the fit (traces of wildly
@@ -209,11 +211,33 @@ let extract ?(config = default_config) ?guard ?cancel ?diag ?trace ?metrics
         in
         Float.max rms 1e-300)
   in
-  let trace_data =
+  let traces =
     Array.init n_traces (fun pi ->
         let t = raw_trace pi in
         Array.map (fun v -> { Complex.re = v /. trace_scales.(pi); im = 0.0 }) t)
   in
+  let min_imag = config.min_imag_fraction *. (x_hi -. x_lo) in
+  {
+    sp_points = points;
+    sp_traces = traces;
+    sp_trace_scales = trace_scales;
+    sp_static = [| Array.map (fun v -> { Complex.re = v; im = 0.0 }) stage.dc |];
+    sp_opts = { config.state_opts with Vf.Vfit.min_imag };
+    sp_make_poles = (fun count -> Vf.Pole.initial_real_axis ~lo:x_lo ~hi:x_hi ~count);
+  }
+
+let extract ?(config = default_config) ?guard ?cancel ?diag ?trace ?metrics
+    ?obs ?pool ~dataset ~input ~output () =
+  let t_start = Clock.now () in
+  let stage =
+    frequency_stage ~config ?guard ?cancel ?diag ?trace ?metrics ?obs ?pool
+      ~dataset ~input ~output ()
+  in
+  let freq_model = stage.fs_model and freq_info = stage.fs_info in
+  let sp = state_problem ~config stage in
+  let points_x = sp.sp_points and trace_data = sp.sp_traces in
+  let trace_scales = sp.sp_trace_scales and n_traces = Array.length trace_data in
+  let has_const = config.freq_opts.Vf.Vfit.with_const in
   (* one probe invocation per extraction: an armed burst of k makes k
      consecutive extract calls fail here, which walks the pipeline's
      escalation ladder rung by rung *)
@@ -233,9 +257,7 @@ let extract ?(config = default_config) ?guard ?cancel ?diag ?trace ?metrics
                 (Printf.sprintf
                    "non-finite residue coefficient trace %d" pi))
           trace_data);
-  let min_imag = config.min_imag_fraction *. (x_hi -. x_lo) in
-  let state_opts = { config.state_opts with Vf.Vfit.min_imag } in
-  let make_state_poles count = Vf.Pole.initial_real_axis ~lo:x_lo ~hi:x_hi ~count in
+  let state_opts = sp.sp_opts and make_state_poles = sp.sp_make_poles in
   let residue_model, residue_info =
     Obs.stage obs "rvf.state_stage";
     Diag.span diag "rvf.state_stage" (fun () ->
@@ -283,9 +305,7 @@ let extract ?(config = default_config) ?guard ?cancel ?diag ?trace ?metrics
       m "state stage: %d poles, normalized rms %.3e"
         residue_info.Vf.Vfit.pole_count residue_info.Vf.Vfit.rms);
   (* --- static stage: DC conductance trace H(x, 0) --- *)
-  let static_data =
-    [| Array.map (fun v -> { Complex.re = v; im = 0.0 }) stage.dc |]
-  in
+  let static_data = sp.sp_static in
   (match guard with
   | None -> ()
   | Some (g : Guard.t) ->
@@ -326,7 +346,7 @@ let extract ?(config = default_config) ?guard ?cancel ?diag ?trace ?metrics
     residue_info;
     static_model;
     static_info;
-    x_range = (x_lo, x_hi);
+    x_range = (stage.x_lo, stage.x_hi);
     x0;
     y0;
     has_const;

@@ -130,3 +130,25 @@ val frequency_stage :
   ?pool:Exec.t ->
   dataset:Tft.Dataset.t -> input:int -> output:int -> unit ->
   freq_stage
+
+(** {2 State-stage inputs}
+
+    What Algorithm 1's state and static stages fit, derived from the
+    frequency stage; {!extract} fits exactly these. Exposed so a checker
+    can refit the same traces (the oracle's real-axis parity verdict). *)
+
+type state_problem = {
+  sp_points : Complex.t array;  (** the estimator coordinates as real points *)
+  sp_traces : Complex.t array array;
+      (** one element per residue coefficient trace (plus the constant
+          trace when the frequency stage has one), each scaled to unit
+          RMS; real data *)
+  sp_trace_scales : float array;  (** the RMS each trace was divided by *)
+  sp_static : Complex.t array array;  (** one element: the DC conductance trace *)
+  sp_opts : Vf.Vfit.opts;  (** [config.state_opts] with [min_imag] set from the range *)
+  sp_make_poles : int -> Complex.t array;
+      (** starting poles for a pole count, spread over the state range *)
+}
+
+val state_problem : ?config:config -> freq_stage -> state_problem
+(** Fresh arrays on every call: callers may mutate them. *)

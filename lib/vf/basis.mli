@@ -15,6 +15,14 @@ val row : Complex.t array -> Complex.t -> Complex.t array
 val table : Complex.t array -> Complex.t array -> Complex.t array array
 (** [table poles points] is [row] per point: [table.(l).(p)]. *)
 
+val table_into :
+  Complex.t array -> Complex.t array -> re:float array -> im:float array -> unit
+(** [table_into poles points ~re ~im] is {!table} in caller-owned split
+    storage: entry [(l, p)] goes to [re.(l*P + p)] and [im.(l*P + p)]
+    (the arrays need at least [length points * P] entries). The values
+    are bit-identical to {!table}'s, it raises where {!table} does, and
+    it allocates nothing. *)
+
 val residues_of_coeffs : Complex.t array -> float array -> Complex.t array
 (** Convert real basis coefficients into complex residues per pole slot:
     a pair with coefficients [(c1, c2)] has residue [c1 + j·c2] at the

@@ -22,6 +22,12 @@ val eval_real : t -> elem:int -> float -> float
 val residues : t -> elem:int -> Complex.t array
 (** Complex residues per pole slot for one element. *)
 
+val errors :
+  t -> points:Complex.t array -> data:Complex.t array array -> float * float
+(** [(rms, max)] absolute deviation over all elements and points from one
+    evaluation pass: the pair {!rms_error} and {!max_error} each
+    compute. *)
+
 val rms_error : t -> points:Complex.t array -> data:Complex.t array array -> float
 (** Root-mean-square absolute deviation over all elements and points. *)
 

@@ -10,7 +10,12 @@
     nontriviality constraint of Gustavsen (2006) and the fast per-element
     QR condensation of Deschrijver et al. (2008), ref. [9] of the paper.
     Pole relocation computes the zeros of the weighting function σ as
-    eigenvalues of [A − b·c̃ᵀ/d̃]. *)
+    eigenvalues of [A − b·c̃ᵀ/d̃].
+
+    On real-axis data (the state and static stages: real points, real
+    data) every imaginary row of the least-squares systems is exactly
+    zero. The fast kernel and {!identify} leave out those past the pivot
+    block, which changes no bit of the result (DESIGN.md §13). *)
 
 type weighting = Uniform | Inv_magnitude | Inv_sqrt
 
@@ -87,7 +92,8 @@ val fit :
     ([<label>.unstable_pole_flips]).
 
     With [trace], the fit records a [vf.fit] span containing one
-    [vf.relocate] span per relocation sweep; with [metrics], the
+    [vf.relocate] span per relocation sweep and one [vf.identify] span
+    for the final residue identification; with [metrics], the
     per-iteration sigma RMS and the final fit RMS land in the
     [<label>.sigma_rms]/[<label>.fit_rms] histograms.
 
@@ -150,3 +156,51 @@ val fit_auto :
     before every attempt (site ["vf.fit_auto"]) and inside each fit;
     [Cancel.Cancelled]/[Cancel.Deadline_exceeded] abort the escalation
     rather than being swallowed as attempt failures. *)
+
+(** {1 Building blocks}
+
+    The pieces {!fit} is made of, exposed so the reference oracle
+    ([Oracle.Vfit_ref]) and the tests can pin each against its
+    reference. *)
+
+val weights_of : opts -> Complex.t array array -> float array array
+(** The per-sample row weights [fit] uses under [opts.weighting]. *)
+
+type ws
+(** Fit scratch: QR workspaces, the split basis table, the column
+    scales and the relocation eigenproblem matrix. {!fit} makes one per
+    call. Not thread-safe. *)
+
+val workspace : unit -> ws
+
+val identify :
+  ?pool:Exec.t ->
+  ws:ws ->
+  opts:opts ->
+  poles:Complex.t array ->
+  points:Complex.t array ->
+  data:Complex.t array array ->
+  weights:float array array ->
+  unit ->
+  Model.t
+(** Residue identification with fixed [poles]: per element, the least
+    squares fit of the residue (and const/slope) coefficients. When all
+    weight rows are bit-identical (uniform weighting) the matrix is
+    factored once and shared by every element; on real-axis data the
+    zero imaginary rows past the pivot block are left out. Bit-identical
+    to one full per-element least squares. A rank-deficient element
+    keeps zero coefficients (logged). With [pool], elements fan out with
+    per-chunk scratch, bit-identical. On a warm [ws], the sequential
+    call allocates only the returned model. *)
+
+val dense_sigma_step :
+  opts:opts ->
+  poles:Complex.t array ->
+  points:Complex.t array ->
+  data:Complex.t array array ->
+  weights:float array array ->
+  relax:bool ->
+  (float array * float) option
+(** One sigma step of the legacy [Dense] kernel: the scaled-back
+    [(c̃, d̃)] of the weighting function, or [None] when the condensed
+    least squares degenerates. *)

@@ -351,7 +351,7 @@ let test_traced_extraction_bit_identical () =
       Alcotest.(check bool) (Printf.sprintf "span %s recorded" n) true
         (List.mem n names))
     [ "pipeline.train"; "pipeline.tft"; "pipeline.fit"; "tran.step";
-      "vf.relocate" ];
+      "vf.relocate"; "vf.identify" ];
   let s = Metrics.snapshot m in
   Alcotest.(check bool) "newton iteration counter flowed" true
     (match List.assoc_opt "tran.newton_iterations" s.Metrics.counters with

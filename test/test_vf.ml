@@ -573,6 +573,176 @@ let prop_kernel_parity_residue_traces =
       let poles0 = Vf.Pole.initial_real_axis ~lo:0.0 ~hi:1.0 ~count:4 in
       fit_both_kernels ~opts ~poles:poles0 ~points ~data)
 
+(* ---------------- real-axis compaction and the fit-stage references ---------------- *)
+
+(* the full reference fit ([Oracle.Vfit_ref]: dense sigma step, copying
+   Eig_ref, per-element identification, two error passes — the fit stage
+   before real-axis compaction) against both kernels of [Vfit.fit]:
+   models, info and failures must agree bit for bit *)
+let info_bits_equal (a : Vf.Vfit.info) (b : Vf.Vfit.info) =
+  float_bits_eq a.Vf.Vfit.rms b.Vf.Vfit.rms
+  && float_bits_eq a.Vf.Vfit.max_err b.Vf.Vfit.max_err
+  && a.Vf.Vfit.iterations_run = b.Vf.Vfit.iterations_run
+  && a.Vf.Vfit.pole_count = b.Vf.Vfit.pole_count
+
+let fit_matches_reference ~opts ~poles ~points ~data =
+  let outcome f =
+    match f () with
+    | r -> Ok r
+    | exception e -> Error (Printexc.to_string e)
+  in
+  let same a b =
+    match (a, b) with
+    | Ok (ma, ia), Ok (mb, ib) -> models_bitwise_equal ma mb && info_bits_equal ia ib
+    | Error x, Error y -> String.equal x y
+    | _ -> false
+  in
+  let run kernel () =
+    Vf.Vfit.fit
+      ~opts:{ opts with Vf.Vfit.relocation_kernel = kernel }
+      ~poles ~points ~data ()
+  in
+  let want =
+    outcome (fun () -> Oracle.Vfit_ref.fit ~opts ~poles ~points ~data)
+  in
+  same want (outcome (run Vf.Vfit.Fast))
+  && same want (outcome (run Vf.Vfit.Dense))
+
+let state_case ?traces sd =
+  let xs, data = Oracle.Gen.residue_traces ?traces sd in
+  (Array.map (fun x -> cx x 0.0) xs, data)
+
+let state_opts = { Vf.Vfit.default_state_opts with Vf.Vfit.min_imag = 0.05 }
+let state_poles0 = Vf.Pole.initial_real_axis ~lo:0.0 ~hi:1.0 ~count:4
+
+let prop_real_axis_parity name ?traces ~opts ?(points = fun p -> p)
+    ?(data = fun _ d -> d) () =
+  QCheck.Test.make ~count:10 ~name:("fit vs reference: " ^ name)
+    (Oracle.Gen.arb ())
+    (fun sd ->
+      let pts, d = state_case ?traces sd in
+      fit_matches_reference ~opts ~poles:state_poles0 ~points:(points pts)
+        ~data:(data sd d))
+
+let prop_parity_residue_traces =
+  prop_real_axis_parity "residue traces" ~opts:state_opts ()
+
+let prop_parity_non_relaxed =
+  prop_real_axis_parity "non-relaxed sigma"
+    ~opts:{ state_opts with Vf.Vfit.relax = false } ()
+
+let prop_parity_slope =
+  prop_real_axis_parity "with slope"
+    ~opts:{ state_opts with Vf.Vfit.with_slope = true } ()
+
+let prop_parity_inv_sqrt =
+  (* per-element weights: no shared phi0, compacted per element *)
+  prop_real_axis_parity "inv_sqrt weighting on real data"
+    ~opts:{ state_opts with Vf.Vfit.weighting = Vf.Vfit.Inv_sqrt } ()
+
+let prop_parity_single_element =
+  (* the static stage's shape: one trace, so the unshared sigma path *)
+  prop_real_axis_parity "single element" ~traces:1 ~opts:state_opts ()
+
+let prop_parity_off_axis_control =
+  (* points a hair off the real axis: the basis has imaginary parts, so
+     nothing may be compacted and the full layout must still agree *)
+  prop_real_axis_parity "off-axis control" ~opts:state_opts
+    ~points:(Array.map (fun (z : Complex.t) -> cx z.Complex.re 1e-3))
+    ()
+
+let prop_parity_nan_trace =
+  (* one NaN sample (the rvf.trace_nan fault with guards off): no
+     compaction, and the fit must fail exactly as the reference does *)
+  prop_real_axis_parity "one NaN in the data" ~opts:state_opts
+    ~data:(fun sd d ->
+      let st = Oracle.Gen.rand_state sd in
+      let e = Random.State.int st (Array.length d) in
+      let l = Random.State.int st (Array.length d.(e)) in
+      let d = Array.map Array.copy d in
+      d.(e).(l) <- cx Float.nan 0.0;
+      d)
+    ()
+
+(* [Vfit.identify] (compacted rows, shared factorization, split basis)
+   against the per-element reference on the same inputs: real and
+   complex points, all three weightings, const/slope on and off, one or
+   several elements. One workspace serves every case, so stale state
+   from a previous shape would show. *)
+let identify_ws = Vf.Vfit.workspace ()
+
+let prop_identify_matches_reference =
+  QCheck.Test.make ~count:60 ~name:"identify bit-equal to Vfit_ref.identify"
+    QCheck.(pair (Oracle.Gen.arb ()) (int_bound 1_000_000))
+    (fun (sd, bits) ->
+      let pts, d = state_case ~traces:(1 + (bits mod 4)) sd in
+      let complex_points = bits / 4 mod 2 = 1 in
+      let points =
+        if complex_points then
+          Array.map (fun (z : Complex.t) -> cx z.Complex.re 0.3) pts
+        else pts
+      in
+      let weighting =
+        match bits / 8 mod 3 with
+        | 0 -> Vf.Vfit.Uniform
+        | 1 -> Vf.Vfit.Inv_sqrt
+        | _ -> Vf.Vfit.Inv_magnitude
+      in
+      let opts =
+        {
+          state_opts with
+          Vf.Vfit.weighting;
+          with_const = bits / 24 mod 2 = 0;
+          with_slope = bits / 48 mod 2 = 1;
+        }
+      in
+      let count = 2 * (1 + (bits / 96 mod 4)) in
+      let poles = Vf.Pole.initial_real_axis ~lo:0.0 ~hi:1.0 ~count in
+      let weights = Vf.Vfit.weights_of opts d in
+      models_bitwise_equal
+        (Oracle.Vfit_ref.identify ~opts ~poles ~points ~data:d ~weights)
+        (Vf.Vfit.identify ~ws:identify_ws ~opts ~poles ~points ~data:d
+           ~weights ()))
+
+let minor_words_of f =
+  let measure g =
+    let w0 = Gc.minor_words () in
+    g ();
+    Gc.minor_words () -. w0
+  in
+  measure f -. measure (fun () -> ())
+
+let test_identify_allocates_only_model () =
+  let sd = { Oracle.Gen.seed = 7; size = 3 } in
+  let points, data = state_case ~traces:6 sd in
+  let poles = Vf.Pole.initial_real_axis ~lo:0.0 ~hi:1.0 ~count:8 in
+  let opts = state_opts in
+  let weights = Vf.Vfit.weights_of opts data in
+  let ws = Vf.Vfit.workspace () in
+  let run () =
+    ignore
+      (Sys.opaque_identity
+         (Vf.Vfit.identify ~ws ~opts ~poles ~points ~data ~weights ()))
+  in
+  run ();
+  let n_elems = Array.length data and p = Array.length poles in
+  let model () =
+    let coeffs = Array.make n_elems [||] in
+    for e = 0 to n_elems - 1 do
+      coeffs.(e) <- Array.make p 0.0
+    done;
+    ignore
+      (Sys.opaque_identity
+         {
+           Vf.Model.poles;
+           coeffs;
+           consts = Array.make n_elems 0.0;
+           slopes = Array.make n_elems 0.0;
+         })
+  in
+  Alcotest.(check (float 0.0)) "warm uniform identify allocates only its model"
+    (minor_words_of model) (minor_words_of run)
+
 let test_kernel_parity_pool () =
   (* the pooled fast path writes disjoint rows per element: bit-identical
      to both sequential kernels *)
@@ -674,6 +844,8 @@ let suite =
     Alcotest.test_case "fit_auto empty ladder" `Quick
       test_fit_auto_start_beyond_max;
     Alcotest.test_case "kernel parity with pool" `Quick test_kernel_parity_pool;
+    Alcotest.test_case "identify allocates only its model" `Quick
+      test_identify_allocates_only_model;
     Alcotest.test_case "condensed blocks = naive stack" `Quick
       test_condensed_blocks_match_naive_stack;
   ]
@@ -684,4 +856,12 @@ let suite =
         prop_kernel_parity_rational;
         prop_kernel_parity_rc_ladder_uniform;
         prop_kernel_parity_residue_traces;
+        prop_parity_residue_traces;
+        prop_parity_non_relaxed;
+        prop_parity_slope;
+        prop_parity_inv_sqrt;
+        prop_parity_single_element;
+        prop_parity_off_axis_control;
+        prop_parity_nan_trace;
+        prop_identify_matches_reference;
       ]
