@@ -32,12 +32,12 @@ let sweep_site (site : Fault.site) =
      ladder) gets exercised from a deterministic point *)
   Fault.arm ~site:name ~seed:0 ();
   let config = Tft_rvf.Pipeline.buffer_config ~snapshots:30 () in
-  (* the sparse-tier sites live on the sparse solve path: run those
-     sweeps with the sparse backend so the probes are on-path, and the
-     recovery under test is the pipeline's dense-escalation rung *)
+  (* the default backend is sparse; the dense-kernel sites live on the
+     dense LU paths, so run those sweeps with the dense backend to keep
+     the probes on-path *)
   let config =
-    if name = "sp.singular" then
-      { config with Tft_rvf.Pipeline.backend = Engine.Mna.Sparse }
+    if name = "lu.pivot_zero" || name = "clu.pivot_zero" then
+      { config with Tft_rvf.Pipeline.backend = Engine.Mna.Dense }
     else config
   in
   let result =

@@ -15,11 +15,12 @@
    a replayable repro capsule) renderable with `obs_report`. `--guard`
    arms the numerical guard layer, `--fault SITE[:seed]` arms one
    deterministic fault-injection probe (`--fault list` prints the
-   registry). `--backend sparse` routes the engine stages through the
-   compressed-column MNA assembly, sparse LU and per-point sparse
-   frequency sweeps (for large circuits; falls back to dense on a
-   sparse-path failure). Any failure ends with a structured JSON error
-   object on stderr and a nonzero exit. *)
+   registry). The engine stages run on the sparse backend by default:
+   compressed-column MNA assembly, sparse LU Newton solves and per-point
+   sparse frequency sweeps, falling back to dense on a sparse-path
+   failure; `--backend dense` selects the dense reference path. Any
+   failure ends with a structured JSON error object on stderr and a
+   nonzero exit. *)
 
 let export_model ~export_format ~out_path model =
   let text =
@@ -362,17 +363,17 @@ let domains_arg =
 
 let backend_arg =
   Arg.(
-    value & opt string "dense"
+    value & opt string "sparse"
     & info [ "backend" ] ~docv:"NAME"
         ~doc:
-          "Linear-algebra backend for the engine stages: $(b,dense) \
-           (LAPACK-style dense LU at every linearization and grid point) \
-           or $(b,sparse) (compressed-column MNA assembly, sparse LU \
-           Newton solves and frequency sweeps with one sparse \
-           factorization per grid point instead of a dense one). The two \
-           backends agree to solver tolerance; sparse is built for \
-           circuits with thousands of nodes. A sparse-path failure \
-           escalates back to the dense backend automatically.")
+          "Linear-algebra backend for the engine stages: $(b,sparse) \
+           (the default: compressed-column MNA assembly, sparse LU \
+           Newton solves and frequency sweeps with one replaying sparse \
+           factorization per grid point) or $(b,dense) (LAPACK-style \
+           dense LU at every linearization and grid point, the \
+           reference path). The two backends agree to solver tolerance. \
+           A sparse-path failure escalates to the dense backend \
+           automatically.")
 
 let out_arg =
   Arg.(

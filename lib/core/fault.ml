@@ -61,7 +61,7 @@ let sites =
     };
     {
       name = "ac.pencil_nan";
-      where = "Engine.Ac.transfer_ws";
+      where = "Engine.Ac.transfer_ws / Engine.Ac.Sparse.transfer_ws";
       what = "writes NaN into a pencil-solve solution column";
       kind = Numeric;
     };

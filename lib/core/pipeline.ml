@@ -15,7 +15,7 @@ type config = {
 }
 
 let default_config_for ?(points = 40) ?(domains = 1)
-    ?(backend = Engine.Mna.Dense) ~f_min ~f_max ~training () =
+    ?(backend = Engine.Mna.Sparse) ~f_min ~f_max ~training () =
   {
     training;
     freqs_hz = Signal.Grid.frequencies_hz ~f_min ~f_max ~points;
@@ -247,23 +247,6 @@ let train_stage ?guard ?cancel ?diag ?trace ?metrics ?obs ~config ~netlist
   ( mna,
     run_train ?guard ?cancel ?diag ?trace ?metrics ?obs ~config ~mna () )
 
-(* snapshots from a sparse training run carry 0×0 placeholder
-   Jacobians; a dense retry re-stamps them from the recorded state —
-   exactly the matrices a dense run would have captured *)
-let densify_snapshots ~mna snapshots =
-  Array.map
-    (fun (snap : Engine.Tran.snapshot) ->
-      if Linalg.Mat.rows snap.Engine.Tran.g_mat > 0 then snap
-      else
-        let ev =
-          Engine.Mna.eval mna ~with_matrices:true ~time:snap.Engine.Tran.time
-            snap.Engine.Tran.state
-        in
-        match (ev.Engine.Mna.g_mat, ev.Engine.Mna.c_mat) with
-        | Some g, Some c -> { snap with Engine.Tran.g_mat = g; c_mat = c }
-        | _, _ -> assert false)
-    snapshots
-
 let tft_stage ?guard ?cancel ?diag ?trace ?metrics ?obs ?pool ~config ~mna
     ~training_run () =
   let estimator = Tft.Estimator.make ~delays:config.estimator_delays () in
@@ -296,7 +279,8 @@ let tft_stage ?guard ?cancel ?diag ?trace ?metrics ?obs ?pool ~config ~mna
                 Diag.incr diag "pipeline.sparse_fallbacks";
                 Obs.violation obs ~site:"pipeline.tft"
                   (Printexc.to_string e);
-                build Engine.Mna.Dense (densify_snapshots ~mna snapshots))))
+                build Engine.Mna.Dense
+                  (Engine.Tran.with_jacobians mna snapshots))))
 
 let extract ?guard ?cancel ?budgets ?checkpoint_dir ?diag ?trace ?metrics ?obs
     ?pool ~config ~netlist ~input ~output () =
@@ -381,15 +365,10 @@ let extract_simo ?guard ?cancel ?diag ?trace ?metrics ?obs ?pool ~config
       ~input ~outputs ()
   in
   let t1 = Clock.now () in
-  let estimator = Tft.Estimator.make ~delays:config.estimator_delays () in
   with_run_pool ?pool ~domains:config.domains (fun pool ->
       let dataset =
-        Obs.stage obs "pipeline.tft";
-        Diag.span diag "pipeline.tft" (fun () ->
-            Trace.span trace "pipeline.tft" (fun () ->
-                Tft.Dataset.of_snapshots ?pool ?guard ?cancel ?diag ?trace
-                  ?metrics ?obs ~mna ~estimator ~freqs_hz:config.freqs_hz
-                  training_run.Engine.Tran.snapshots))
+        tft_stage ?guard ?cancel ?diag ?trace ?metrics ?obs ?pool ~config ~mna
+          ~training_run ()
       in
       let t2 = Clock.now () in
       (* the per-output fits are independent too: reuse the same pool.
@@ -817,7 +796,7 @@ let buffer_config ?(snapshots = 100) ?(domains = 1) () =
         min_imag_fraction = 0.03;
       };
     domains;
-    backend = Engine.Mna.Dense;
+    backend = Engine.Mna.Sparse;
   }
 
 let extract_buffer ?guard ?diag ?trace ?metrics ?obs ?config () =

@@ -25,14 +25,19 @@ type config = {
           bit-identical results. *)
   backend : Engine.Mna.backend;
       (** linear-algebra backbone for the training transient and the
-          TFT transform. [Dense] (the default) is bit-identical to
-          before the knob existed. [Sparse] assembles into compiled CSC
-          patterns, factors with {!Linalg.Splu}/{!Linalg.Spclu} and
-          sweeps the frequency grid with one exact sparse pencil solve
-          per point ({!Engine.Ac.Sparse}) — the large-circuit path. A singular sparse factorization or a
-          guard breach on the sparse path falls back to the dense
-          stage transparently (counter [pipeline.sparse_fallbacks],
-          [Warning] event); the fit stages are backend-independent. *)
+          TFT transform. [Sparse] (the default of {!default_config_for}
+          and {!buffer_config}) assembles into compiled CSC patterns,
+          runs the transient's Newton solves on a replaying
+          {!Linalg.Splu} and sweeps the frequency grid with one exact
+          {!Linalg.Spclu} pencil solve per point ({!Engine.Ac.Sparse}).
+          [Dense] is the reference path: dense [Lu] Newton solves and
+          dense [Clu] pencil solves; its models agree with sparse ones
+          to solver round-off (not bit for bit: the pivot orders
+          differ), and its checkpoints are stale under a sparse config.
+          A singular sparse factorization or a guard breach on the
+          sparse path falls back to the dense stage transparently
+          (counter [pipeline.sparse_fallbacks], [Warning] event); the
+          fit stages are backend-independent. *)
 }
 
 val default_config_for :
@@ -45,8 +50,8 @@ val default_config_for :
   unit ->
   config
 (** Log frequency grid with [points] samples (default 40) and the
-    default RVF settings; sequential unless [domains > 1]; dense unless
-    [backend] says otherwise. *)
+    default RVF settings; sequential unless [domains > 1]; sparse
+    unless [backend] says otherwise. *)
 
 type timing = {
   train_seconds : float;  (** transient + snapshot capture *)
@@ -107,6 +112,8 @@ type outcome = {
   dataset : Tft.Dataset.t;
   mna : Engine.Mna.t;
   training_run : Engine.Tran.result;
+      (** on the sparse backend its snapshots carry 0×0 placeholder
+          Jacobians; {!Engine.Tran.with_jacobians} re-stamps them *)
   timing : timing;
 }
 
@@ -209,7 +216,10 @@ val extract_simo :
     systems is very straightforward" — the training transient, snapshot
     capture and TFT pencil solves are shared across channels; only the
     fitting stages run per output. Returns one outcome per requested
-    output (all sharing the same dataset and training run).
+    output (all sharing the same dataset and training run). The TFT
+    transform runs on [config.backend] with the same dense-escalation
+    rung as {!extract}, so on either backend each per-output model is
+    bit-identical to {!extract} on that output.
 
     A [diag] collector or a [trace] buffer is single-owner mutable
     state, so attaching either runs the per-output fits sequentially

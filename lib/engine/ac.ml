@@ -132,9 +132,14 @@ module Sparse = struct
     | None -> ()
     | Some _ ->
         Obs.rcond obs ~site:"ac.pencil" (Linalg.Spclu.rcond_estimate ws.lu));
+    let inject = Fault.should_fire "ac.pencil_nan" in
     let h = Linalg.Cmat.create (Linalg.Mat.cols ws.d) (Array.length ws.bcols) in
     for j = 0 to Array.length ws.bcols - 1 do
       Linalg.Spclu.solve_real_into ws.lu ws.bcols.(j) ~re:ws.xre ~im:ws.xim;
+      if inject && j = 0 then begin
+        ws.xre.(0) <- Float.nan;
+        ws.xim.(0) <- Float.nan
+      end;
       Guard.check_split_vec guard ~site:"ac.transfer" ~re:ws.xre ~im:ws.xim;
       Linalg.Cmat.set_col_mul_t h j ws.d ~re:ws.xre ~im:ws.xim
     done;

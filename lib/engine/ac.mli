@@ -72,7 +72,7 @@ val transfer_sweep :
     token (site ["ac.sweep"]), on the sequential and pooled paths
     alike. *)
 
-(** The sparse twin of the sweep above, for [--backend sparse]: the
+(** The sparse twin of the sweep above, the production backend: the
     pencil [G + s·C] is refilled over one compiled {!Linalg.Sp} pattern
     and factored exactly once per grid point with {!Linalg.Spclu}.
     After the first point the LU replays its recorded symbolic
@@ -108,7 +108,9 @@ module Sparse : sig
   (** One exact pencil solve at [s]; [g] and [c] must carry the
       workspace's pattern. Raises {!Linalg.Spclu.Singular} on a
       singular pencil or, with [guard], an rcond-floor breach; a
-      non-finite solution column raises [Guard.Violation]. *)
+      non-finite solution column raises [Guard.Violation]. Hosts the
+      ["ac.pencil_nan"] fault probe, injected exactly as in the dense
+      {!transfer_ws}. *)
 
   val transfer_sweep :
     ?guard:Guard.t ->

@@ -37,6 +37,17 @@ let snapshot_matrices (ev : Mna.eval) =
   | Some g, Some c -> (Linalg.Mat.copy g, Linalg.Mat.copy c)
   | _, _ -> (Linalg.Mat.create 0 0, Linalg.Mat.create 0 0)
 
+let with_jacobians mna snapshots =
+  Array.map
+    (fun snap ->
+      if Linalg.Mat.rows snap.g_mat > 0 then snap
+      else
+        let ev = Mna.eval mna ~with_matrices:true ~time:snap.time snap.state in
+        match (ev.Mna.g_mat, ev.Mna.c_mat) with
+        | Some g, Some c -> { snap with g_mat = g; c_mat = c }
+        | _, _ -> assert false)
+    snapshots
+
 let run ?(opts = default_opts) ?guard ?cancel ?diag ?trace ?metrics ?obs
     ?initial ?(backend = Mna.Dense) ?sparse mna ~t_stop ~dt =
   if dt <= 0.0 || t_stop <= 0.0 then invalid_arg "Tran.run: dt and t_stop must be > 0";

@@ -90,6 +90,13 @@ val run :
     {!Dc.sparse_ws} ([sparse] supplies it, otherwise one is compiled
     up front), and snapshots carry 0×0 placeholder Jacobians. *)
 
+val with_jacobians : Mna.t -> snapshot array -> snapshot array
+(** Re-stamps the dense [g_mat]/[c_mat] of every placeholder snapshot
+    from its recorded [state] and [time]: exactly the matrices a dense
+    run would have captured. Snapshots that already carry Jacobians are
+    returned as they are. For consumers of dense snapshot Jacobians
+    (the dense TFT transform, [Tft.Tpw]) fed by a sparse run. *)
+
 val output_waveform : result -> int -> Signal.Waveform.t
 (** Extract output channel [j] as a waveform. *)
 

@@ -31,7 +31,11 @@ let balance a =
           c := !c +. Float.abs (get d n j i)
         end
       done;
-      if !c <> 0.0 && !r <> 0.0 then begin
+      (* a non-finite off-diagonal norm has no power-of-radix balance:
+         scaling inf by the radix never meets the bound, so such a row
+         and column are left as they are *)
+      if !c <> 0.0 && !r <> 0.0 && Float.is_finite !c && Float.is_finite !r
+      then begin
         let g = ref (!r /. radix) and f = ref 1.0 in
         let s = !c +. !r in
         while !c < !g do

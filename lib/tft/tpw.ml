@@ -24,6 +24,7 @@ let snapshot_finite (s : Engine.Tran.snapshot) =
   && finite_mat s.Engine.Tran.c_mat
 
 let build ?guard ?diag ~mna snapshots =
+  let snapshots = Engine.Tran.with_jacobians mna snapshots in
   (* snapshot quarantine: the TPW database interpolates raw snapshots
      directly, so a corrupt one is dropped before indexing (there is no
      meaningful neighbor repair once the x-ordering is rebuilt) *)

@@ -21,7 +21,9 @@ val build :
   Engine.Tran.snapshot array ->
   t
 (** Index the snapshots by the first input value. Requires ≥ 2 snapshots
-    and a SISO input/output configuration. With [guard], snapshots with
+    and a SISO input/output configuration. The 0×0 placeholder
+    Jacobians of a sparse training run are re-stamped first
+    ({!Engine.Tran.with_jacobians}). With [guard], snapshots with
     non-finite state or Jacobian data are dropped before indexing
     ([tpw.quarantined] counter plus a [diag] warning); interpolation
     repair does not apply here because the database is re-ordered by

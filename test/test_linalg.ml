@@ -787,15 +787,25 @@ let eig_case (kind, n, seed) =
             float_of_int (Random.State.int st 3 - 1)
           else 0.0)
   | 2 -> Linalg.Mat.init n n (fun i j -> if i = (j + 1) mod n then 1.0 else 0.0)
-  | _ ->
+  | 3 ->
       let m = Linalg.Mat.random st n n in
       Linalg.Mat.set m (Random.State.int st n) (Random.State.int st n) Float.nan;
+      m
+  | _ ->
+      (* one ±inf off-diagonal entry, as a VF relocation matrix
+         A − b·c̃ᵀ/d̃ gets from an underflowed d̃: balancing must
+         terminate *)
+      let m = Linalg.Mat.random st n n in
+      let i = Random.State.int st n in
+      let j = (i + 1 + Random.State.int st (n - 1)) mod n in
+      Linalg.Mat.set m i j
+        (if Random.State.bool st then Float.infinity else Float.neg_infinity);
       m
 
 let arb_eig_case =
   QCheck.make
     ~print:(fun (k, n, s) -> Printf.sprintf "kind %d, n %d, seed %d" k n s)
-    QCheck.Gen.(triple (int_range 0 3) (int_range 2 10) (int_bound 100_000))
+    QCheck.Gen.(triple (int_range 0 4) (int_range 2 10) (int_bound 100_000))
 
 let eig_outcome f m =
   match f m with

@@ -226,7 +226,15 @@ let test_tpw_database_size () =
   in
   (* the snapshot database dwarfs the analytical model *)
   Alcotest.(check bool) "database larger than 1e5 floats" true
-    (Tft.Tpw.size_in_floats tpw > 100_000)
+    (Tft.Tpw.size_in_floats tpw > 100_000);
+  (* the default (sparse) run hands over placeholder Jacobians, which
+     the database re-stamps: it must still simulate *)
+  let w =
+    Tft.Tpw.simulate tpw ~u:(Signal.Source.sine ~offset:0.3 ~freq:1e8 ~ampl:0.2 ())
+      ~t_stop:2e-9 ~dt:1e-11
+  in
+  Alcotest.(check bool) "database simulates finitely" true
+    (Array.for_all Float.is_finite (Signal.Waveform.values w))
 
 let test_tpw_requires_siso () =
   let nl = Circuits.Library.clipper () in
@@ -268,6 +276,41 @@ let test_extract_simo_two_outputs () =
         (o_out.Tft_rvf.Pipeline.dataset == o_in.Tft_rvf.Pipeline.dataset)
   | _ -> Alcotest.fail "expected two outcomes"
 
+(* the SIMO entry point routes its TFT through the same backend-aware
+   stage as [extract]: on either backend each per-output model is bit
+   for bit the single-output extraction's (the fit artifact renders
+   every float at %.17g; only the wall-clock field is blanked) *)
+let test_extract_simo_matches_extract backend () =
+  let netlist = Circuits.Library.clipper () in
+  let config =
+    {
+      (Tft_rvf.Pipeline.default_config_for ~f_min:1e4 ~f_max:1e9
+         ~training:clipper_training ())
+      with
+      Tft_rvf.Pipeline.backend;
+    }
+  in
+  let fit_text (o : Tft_rvf.Pipeline.outcome) =
+    let fit = Tft_rvf.Artifact.fit_of_rvf ~rung:"base" o.Tft_rvf.Pipeline.rvf in
+    Minijson.emit
+      (Tft_rvf.Artifact.json_of_fit
+         { fit with Tft_rvf.Artifact.build_seconds = 0.0 })
+  in
+  let outputs = [ Engine.Mna.Node "out"; Engine.Mna.Node "in" ] in
+  let simo =
+    Tft_rvf.Pipeline.extract_simo ~config ~netlist ~input:"Vin" ~outputs ()
+  in
+  List.iter2
+    (fun output o ->
+      let single =
+        Tft_rvf.Pipeline.extract ~config ~netlist ~input:"Vin" ~output ()
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "output %s bit-identical"
+           (Tft_rvf.Artifact.render_output output))
+        (fit_text single) (fit_text o))
+    outputs simo
+
 let suite =
   [
     Alcotest.test_case "buffer inventory" `Quick test_buffer_inventory;
@@ -286,4 +329,8 @@ let suite =
     Alcotest.test_case "tpw database size" `Slow test_tpw_database_size;
     Alcotest.test_case "tpw requires siso" `Quick test_tpw_requires_siso;
     Alcotest.test_case "extract simo" `Slow test_extract_simo_two_outputs;
+    Alcotest.test_case "extract simo matches extract (sparse)" `Slow
+      (test_extract_simo_matches_extract Engine.Mna.Sparse);
+    Alcotest.test_case "extract simo matches extract (dense)" `Slow
+      (test_extract_simo_matches_extract Engine.Mna.Dense);
   ]

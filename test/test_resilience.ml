@@ -255,6 +255,45 @@ let test_extract_checkpoint_resume () =
     (Sys.readdir dir);
   Sys.rmdir dir
 
+(* the backend is part of the run fingerprint: a checkpoint set written
+   by a dense-backend run is stale under the (sparse) default config —
+   every stage recomputes, none is rejected as torn or undecodable *)
+let test_dense_checkpoint_stale_under_default () =
+  let dir = fresh_dir () in
+  let run config =
+    Tft_rvf.Pipeline.try_extract ~guard:Guard.default ~checkpoint_dir:dir
+      ~config
+      ~netlist:(Circuits.Buffer.netlist ())
+      ~input:Circuits.Buffer.input_name ~output:Circuits.Buffer.output ()
+  in
+  let dense, _ = run { config with Tft_rvf.Pipeline.backend = Engine.Mna.Dense } in
+  Alcotest.(check bool) "dense run stored a model" true (dense <> None);
+  let outcome, report = run config in
+  Alcotest.(check bool) "default run produced a model" true (outcome <> None);
+  Alcotest.(check bool) "no errors" false (Diag.has_errors report);
+  let warnings =
+    List.filter_map
+      (fun (e : Diag.event) ->
+        if e.Diag.stage = "pipeline.checkpoint" then Some e.Diag.message
+        else None)
+      report.Diag.events
+  in
+  List.iter
+    (fun stage ->
+      Alcotest.(check (option string)) ("not resumed: " ^ stage) None
+        (Diag.find_note report ("checkpoint." ^ stage));
+      Alcotest.(check bool) ("stale: " ^ stage) true
+        (List.exists
+           (contains ~needle:(Printf.sprintf "stale %s artifact ignored" stage))
+           warnings))
+    [ "train"; "tft"; "fit-o0" ];
+  Alcotest.(check bool) "nothing rejected as invalid" false
+    (List.exists
+       (fun m -> contains ~needle:"rejected" m || contains ~needle:"undecodable" m)
+       warnings);
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Sys.rmdir dir
+
 let rungs =
   [
     "base";
@@ -306,6 +345,8 @@ let suite =
       test_extract_checkpoint_resume;
     Alcotest.test_case "artifact cmat encoding pinned" `Quick
       test_artifact_cmat_encoding_pinned;
+    Alcotest.test_case "dense checkpoint stale under default" `Quick
+      test_dense_checkpoint_stale_under_default;
   ]
   @ List.mapi
       (fun i label ->

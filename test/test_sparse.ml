@@ -558,7 +558,65 @@ let test_tran_backend_parity () =
     rd.Engine.Tran.snapshots;
   Alcotest.(check bool)
     (Printf.sprintf "state trajectories agree (%.3e)" !worst)
-    true (!worst <= 1e-9)
+    true (!worst <= 1e-9);
+  (* re-stamping placeholders from the recorded states gives back
+     exactly the Jacobians the dense run captured *)
+  let blanked =
+    Array.map
+      (fun (sd : Engine.Tran.snapshot) ->
+        {
+          sd with
+          Engine.Tran.g_mat = Linalg.Mat.create 0 0;
+          c_mat = Linalg.Mat.create 0 0;
+        })
+      rd.Engine.Tran.snapshots
+  in
+  let mat_bits m = Array.map Int64.bits_of_float (Linalg.Mat.unsafe_data m) in
+  Array.iter2
+    (fun (sd : Engine.Tran.snapshot) (sw : Engine.Tran.snapshot) ->
+      Alcotest.(check bool) "re-stamped Jacobians bit-identical" true
+        (Linalg.Mat.rows sw.Engine.Tran.g_mat = Linalg.Mat.rows sd.Engine.Tran.g_mat
+        && mat_bits sw.Engine.Tran.g_mat = mat_bits sd.Engine.Tran.g_mat
+        && mat_bits sw.Engine.Tran.c_mat = mat_bits sd.Engine.Tran.c_mat))
+    rd.Engine.Tran.snapshots
+    (Engine.Tran.with_jacobians mna blanked)
+
+(* the production default is the sparse backend; the dense one is its
+   reference. On the paper's buffer the two models must simulate within
+   1e-12 V of each other over a 4 ns sine spanning the training range
+   (the pivot orders differ, so bit identity is not expected), and the
+   exported equations must be the same text *)
+let test_buffer_default_matches_dense () =
+  let config = Tft_rvf.Pipeline.buffer_config () in
+  Alcotest.(check bool) "buffer default is sparse" true
+    (config.Tft_rvf.Pipeline.backend = Mna.Sparse);
+  let sparse = Tft_rvf.Pipeline.extract_buffer ~config () in
+  let dense =
+    Tft_rvf.Pipeline.extract_buffer
+      ~config:{ config with Tft_rvf.Pipeline.backend = Mna.Dense }
+      ()
+  in
+  let lo, hi = sparse.Tft_rvf.Pipeline.rvf.Rvf.x_range in
+  let u =
+    Signal.Source.sine ~offset:(0.5 *. (lo +. hi)) ~ampl:(0.5 *. (hi -. lo))
+      ~freq:2.5e8 ()
+  in
+  let sim (o : Tft_rvf.Pipeline.outcome) =
+    Hammerstein.Hmodel.simulate o.Tft_rvf.Pipeline.model ~u ~t_stop:4e-9
+      ~dt:1e-11
+  in
+  let ws = sim sparse and wd = sim dense in
+  let worst = ref 0.0 in
+  Array.iteri
+    (fun k v ->
+      worst := Float.max !worst (Float.abs (v -. wd.Signal.Waveform.values.(k))))
+    ws.Signal.Waveform.values;
+  Alcotest.(check bool)
+    (Printf.sprintf "models agree within 1e-12 V (%.3e)" !worst)
+    true (!worst <= 1e-12);
+  Alcotest.(check string) "equations text identical"
+    (Hammerstein.Hmodel.equations dense.Tft_rvf.Pipeline.model)
+    (Hammerstein.Hmodel.equations sparse.Tft_rvf.Pipeline.model)
 
 (* the sparse extraction fans snapshots across the pool with one
    replaying LU workspace per domain; the dataset and the model must not
@@ -621,6 +679,8 @@ let suite =
       test_warm_lu_allocation_free;
     Alcotest.test_case "sparse extraction bit-identical across domains" `Quick
       test_sparse_extraction_domains;
+    Alcotest.test_case "buffer default backend matches dense" `Slow
+      test_buffer_default_matches_dense;
   ]
   @ List.map
       (QCheck_alcotest.to_alcotest ~long:false)
